@@ -27,19 +27,24 @@ its *prefix* becomes deletable the moment a checkpoint covers it.  Here:
   checkpoint; once the checkpoint is durably on disk every segment of an
   older epoch is covered by it and deleted.  The WAL's steady-state
   footprint is one checkpoint interval of records.
-* **Recovery** — :func:`recover` loads the checkpoint chain (validating
-  every link; a corrupt checkpoint **aborts** with
-  :class:`~repro.errors.RecoveryError`), splices the log deltas back into
-  the latest core, restores the engine via :func:`repro.io.restore_engine`,
-  then replays the WAL tail in sequence order.  A torn *final* record —
-  the one artifact a crash mid-append can legally produce — is detected,
-  dropped, and repaired in place; an unreadable record anywhere else, or
-  a gap in the sequence, raises
-  :class:`~repro.errors.WalCorruptionError` instead of silently
-  resurrecting a different history.  Recovery is **deterministic**: the
-  recovered engine's snapshot is byte-identical to an uninterrupted run
-  over the same logged prefix (the crash-injection suite pins this across
-  all five schedulers and sharded mode).
+* **Taking over a directory** — one log-tail state machine
+  (:class:`_LogTail`) restores the engine from the checkpoint chain
+  (validating every link; a corrupt checkpoint **aborts** with
+  :class:`~repro.errors.RecoveryError`), reads the segments
+  incrementally and applies the records in sequence order.
+  :func:`recover` is one of its three entry points (the others are a
+  :class:`~repro.replication.WalFollower`'s ``poll`` and ``promote``):
+  take the exclusive writer lock — an ``flock`` the kernel holds for the
+  writer's lifetime and drops when the process dies — follow to the end,
+  repair, resume logging.  A torn *final* record — the one artifact a
+  crash mid-append can legally produce — is detected, dropped, and
+  repaired in place; an unreadable record anywhere else, a duplicate or
+  a gap in the sequence raises :class:`~repro.errors.WalCorruptionError`
+  instead of silently resurrecting a different history.  Recovery is
+  **deterministic**: the recovered engine's snapshot is byte-identical
+  to an uninterrupted run over the same logged prefix (the
+  crash-injection suite pins this across all five schedulers and
+  sharded mode).
 
 Durability model: with the default ``sync="checkpoint"`` every record is
 flushed to the OS (a *process* crash loses at most the torn tail) and
@@ -51,6 +56,8 @@ per-step cost (measured in E17).
 from __future__ import annotations
 
 import dataclasses
+import fcntl
+import json
 import os
 import pathlib
 from dataclasses import dataclass, field
@@ -80,8 +87,7 @@ from repro.io import (
     wal_record_from_line,
     wal_record_to_line,
 )
-from repro.io import WAL_RECORD_FORMAT
-from repro.model.steps import Begin, Finish, Read, Step, Write, WriteItem
+from repro.model.steps import Step
 from repro.scheduler.events import Decision, StepResult
 
 __all__ = [
@@ -139,199 +145,72 @@ def _parse_checkpoint_name(name: str) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Fast record encoding
-# ---------------------------------------------------------------------------
-
-import json as _json
-
-_D = _json.dumps  # correct JSON string escaping
-
-
-def _step_record_line(seq: int, step: Step) -> str:
-    """Byte-identical fast path for :func:`repro.io.wal_record_to_line`.
-
-    The WAL append sits on every feed; ``json.dumps`` of a freshly built
-    dict costs ~5µs where a per-kind f-string costs ~1µs.  Key order and
-    escaping match the reference codec exactly (compact separators,
-    sorted keys) — pinned by a parity test — and unknown step kinds fall
-    back to the reference encoder.
-    """
-    kind = type(step)
-    head = f'{{"format":{WAL_RECORD_FORMAT},"seq":{seq},"step":'
-    if kind is Read:
-        return (
-            f'{head}{{"entity":{_D(step.entity)},"kind":"read",'
-            f'"txn":{_D(step.txn)}}}}}'
-        )
-    if kind is Write:
-        entities = ",".join(_D(e) for e in sorted(step.entities))
-        return (
-            f'{head}{{"entities":[{entities}],"kind":"write",'
-            f'"txn":{_D(step.txn)}}}}}'
-        )
-    if kind is WriteItem:
-        return (
-            f'{head}{{"entity":{_D(step.entity)},"kind":"write_item",'
-            f'"txn":{_D(step.txn)}}}}}'
-        )
-    if kind is Begin:
-        return f'{head}{{"kind":"begin","txn":{_D(step.txn)}}}}}'
-    if kind is Finish:
-        return f'{head}{{"kind":"finish","txn":{_D(step.txn)}}}}}'
-    return wal_record_to_line(seq, step)
-
-
-# ---------------------------------------------------------------------------
 # Exclusive writer lock
 # ---------------------------------------------------------------------------
 
 
-def _pid_alive(pid: int) -> bool:
-    if not isinstance(pid, int) or pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    return True
-
-
 class _WalLock:
-    """Exclusive advisory lock: one live writer per ``wal_dir``.
+    """Exclusive writer lock: one live writer per ``wal_dir``.
 
     Two engines appending to the same log would interleave sequence
-    numbers and corrupt the segment order, so every open — fresh or via
-    :func:`recover` — creates a ``LOCK`` file with ``O_CREAT|O_EXCL``
-    recording the owner's PID.  A second open finds the file and raises
-    :class:`~repro.errors.WalLockedError` while the recorded PID is
-    alive; locks left by *dead* processes (a crash never releases) and
-    torn/unreadable lock files are stale and reclaimed atomically.
+    numbers and corrupt the segment order, so every open — fresh,
+    :func:`recover` or a follower's ``promote()`` — takes
+    ``flock(LOCK_EX | LOCK_NB)`` on ``wal_dir/LOCK`` and keeps that
+    descriptor open for the writer's lifetime.  The kernel holds the
+    exclusion and drops it when the descriptor closes, which includes
+    the death of the process: there is no stale lock to reclaim, and
+    nothing *in* the file (torn bytes, a dead PID, a leftover from an
+    older protocol) ever decides ownership.  The holder's PID is written
+    into the file for :attr:`WalLockedError.pid` and post-mortems only.
 
-    Reclaim protocol: the lock file itself is **never** unlinked by a
-    non-owner (two openers observing the same dead PID could otherwise
-    both unlink — and the second unlink can destroy the first opener's
-    freshly-won lock).  Instead, a PID-stamped ``LOCK.claim`` file
-    created with ``O_CREAT|O_EXCL`` serializes reclaimers; the winner
-    re-verifies the recorded owner is still dead *under the claim*,
-    publishes itself with an atomic ``os.replace(claim, LOCK)``, and
-    re-reads the lock after publish to confirm ownership.  Losers see a
-    live claimer (or a live new owner) and raise
-    :class:`~repro.errors.WalLockedError` — exactly one process ever
-    acquires.
+    ``LOCK`` is never unlinked: ``flock`` locks the inode, so removing
+    the path would let a third opener lock a fresh inode beside a
+    holder of the old one.
     """
 
-    def __init__(self, path: pathlib.Path, pid: int) -> None:
-        self.path = path
-        self.pid = pid
-        self._released = False
+    def __init__(self, fd: int) -> None:
+        self._fd: Optional[int] = fd
 
     @classmethod
     def acquire(cls, wal_path: pathlib.Path) -> "_WalLock":
-        path = pathlib.Path(wal_path) / LOCK_NAME
-        claim = path.with_name(LOCK_NAME + ".claim")
-        pid = os.getpid()
-        owner: Optional[int] = None
-        # The lock protocol below uses raw O_EXCL syscalls on purpose:
-        # mutual exclusion must hold against *other processes*, so it
-        # cannot ride the per-engine injectable StorageIO shim (a fault
-        # plan delaying the lock would change who wins, not what a
-        # crash does), and fault drills cover crashes around the lock
-        # via process kills instead.
-        for _attempt in range(6):
-            try:
-                # lint: allow(raw-syscall)
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                owner = cls._owner_pid(path)
-                if owner is not None and _pid_alive(owner):
-                    raise WalLockedError(wal_path, owner)
-                # Stale (dead owner) or torn (unreadable): reclaim.
-                lock = cls._reclaim_stale(wal_path, path, claim, pid)
-                if lock is not None:
-                    return lock
-                continue
-            # lint: allow(raw-syscall)
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(_json.dumps({"pid": pid}) + "\n")
-            return cls(path, pid)
-        # Repeated reclaim attempts lost the race every time: something
-        # is recreating the lock faster than we can claim it.
-        raise WalLockedError(wal_path, owner if owner is not None else -1)
-
-    @classmethod
-    def _reclaim_stale(
-        cls,
-        wal_path: pathlib.Path,
-        path: pathlib.Path,
-        claim: pathlib.Path,
-        pid: int,
-    ) -> Optional["_WalLock"]:
-        """One atomic reclaim attempt; the lock on success, ``None`` to
-        re-run the acquire loop (the stale lock vanished or the publish
-        was contended away)."""
-        try:
-            # Raw O_EXCL on purpose — cross-process mutual exclusion
-            # (see acquire()).  # lint: allow(raw-syscall)
-            fd = os.open(claim, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            claimer = cls._owner_pid(claim)
-            if claimer is not None and _pid_alive(claimer):
-                # A live reclaimer is mid-publish; it owns the outcome.
-                raise WalLockedError(wal_path, claimer)
-            # The claimer died mid-reclaim: clear its claim and retry.
-            # (Deleting a *fresh* claim here is benign — its live owner
-            # re-verifies the lock under the claim and after publish.)
-            try:
-                claim.unlink()
-            except FileNotFoundError:
-                pass
-            return None
+        # Raw syscalls on purpose: mutual exclusion must hold against
+        # *other processes*, so it cannot ride the per-engine injectable
+        # StorageIO shim (a fault plan delaying the lock would change
+        # who wins, not what a crash does); fault drills cover crashes
+        # around the lock via process kills instead.  One os.open per
+        # acquire is one open-file description, so a second open from
+        # the same process is refused like any other, and os.open
+        # descriptors are not inherited by spawned children.
         # lint: allow(raw-syscall)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(_json.dumps({"pid": pid}) + "\n")
+        fd = os.open(
+            pathlib.Path(wal_path) / LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644
+        )
         try:
-            # Re-verify under the claim: the owner may have changed
-            # between the stale read and winning the claim.
-            owner = cls._owner_pid(path)
-            if owner is not None and _pid_alive(owner):
-                raise WalLockedError(wal_path, owner)
-            if not path.exists():
-                return None  # released outright; retry the O_EXCL create
-            # Atomic publish of the claim (see acquire()).
-            # lint: allow(raw-syscall)
-            os.replace(claim, path)
-        except FileNotFoundError:
-            return None  # our claim was swept by a racing cleanup; retry
-        finally:
-            try:
-                claim.unlink()  # no-op when the replace consumed it
-            except OSError:
-                pass
-        # Post-publish verification: only return owned if the lock file
-        # really records us (paranoia against exotic interleavings).
-        if cls._owner_pid(path) == pid:
-            return cls(path, pid)
-        return None
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            os.ftruncate(fd, 0)
+            os.write(fd, (json.dumps({"pid": os.getpid()}) + "\n").encode())
+        except BlockingIOError:
+            holder = cls._recorded_pid(fd)
+            os.close(fd)
+            raise WalLockedError(wal_path, holder) from None
+        except BaseException:
+            os.close(fd)
+            raise
+        return cls(fd)
 
     @staticmethod
-    def _owner_pid(path: pathlib.Path) -> Optional[int]:
+    def _recorded_pid(fd: int) -> int:
+        """The PID the holder wrote, or -1 (caught mid-write)."""
         try:
-            payload = _json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        pid = payload.get("pid") if isinstance(payload, dict) else None
-        return pid if isinstance(pid, int) else None
+            pid = json.loads(os.pread(fd, 64, 0)).get("pid")
+        except (OSError, ValueError, AttributeError):
+            return -1
+        return pid if isinstance(pid, int) else -1
 
     def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +432,7 @@ class DurableEngine:
             shards=shards,
             checkpoint_interval=checkpoint_interval,
             sync=sync,
-            seq=0,
-            epoch=0,
-            last_checkpoint_seq=0,
-            cursors=self._fresh_cursors(inner),
-            recovery_info=None,
-            write_manifest=True,
-            io=io,
+            io=io if io is not None else _DEFAULT_IO,
         )
 
     # -- construction plumbing ---------------------------------------------------
@@ -583,16 +456,17 @@ class DurableEngine:
         shards: int,
         checkpoint_interval: int,
         sync: str,
-        seq: int,
-        epoch: int,
-        last_checkpoint_seq: int,
-        cursors: _Cursors,
-        recovery_info: Optional[RecoveryInfo],
-        write_manifest: bool,
-        last_checkpoint_path: Optional[pathlib.Path] = None,
-        io: Optional[StorageIO] = None,
+        io: StorageIO,
+        tail: Optional["_LogTail"] = None,
         lock: Optional[_WalLock] = None,
+        recovery_info: Optional[RecoveryInfo] = None,
     ) -> None:
+        """A fresh open (no *tail*: take the lock, start at seq 0, write
+        the manifest) or the resume of the directory *tail* has just
+        followed to its sealed end under *lock*: logging continues after
+        the last record on disk, in a new epoch, on the directory's
+        current chain."""
+        chain = tail.chain if tail is not None else None
         self._inner = inner
         self._sharded = isinstance(inner, ShardedEngine)
         self.wal_dir = wal_path
@@ -600,18 +474,18 @@ class DurableEngine:
         self.shard_count = shards
         self.checkpoint_interval = checkpoint_interval
         self.sync = sync
-        self._seq = seq
-        self._last_checkpoint_seq = last_checkpoint_seq
-        self._last_checkpoint_path = last_checkpoint_path
+        self._seq = tail.applied_seq if tail is not None else 0
+        self._last_checkpoint_seq = chain.checkpoint_seq if chain else 0
+        self._last_checkpoint_path = chain.latest_path if chain else None
         #: The last-written checkpoint payload, already core-stripped —
         #: lets the *next* checkpoint demote it without a disk read.
         #: None on a resumed engine (its latest link lives on disk only).
         self._last_checkpoint_payload: Optional[Dict[str, Any]] = None
-        self._cursors = cursors
+        self._cursors = chain.cursors if chain else self._fresh_cursors(inner)
         self.recovery_info = recovery_info
         self._closed = False
         self._poisoned = False
-        self._io = io if io is not None else _DEFAULT_IO
+        self._io = io
         segments = wal_path / _SEGMENTS_DIR
         checkpoints = wal_path / _CHECKPOINTS_DIR
         segments.mkdir(parents=True, exist_ok=True)
@@ -622,10 +496,11 @@ class DurableEngine:
         self._lock = lock
         try:
             self._wal = _WalWriter(
-                segments, sync_always=(sync == "always"), io=self._io
+                segments, sync_always=(sync == "always"), io=io
             )
-            self._wal.set_epoch(epoch)
-            if write_manifest:
+            if tail is not None:
+                self._wal.set_epoch(tail.next_epoch())
+            else:
                 atomic_write_json(
                     wal_path / MANIFEST_NAME,
                     {
@@ -640,6 +515,42 @@ class DurableEngine:
         except BaseException:
             lock.release()
             raise
+
+    @classmethod
+    def _resume(
+        cls,
+        inner,
+        tail: "_LogTail",
+        lock: _WalLock,
+        recovery_info: Optional[RecoveryInfo],
+        *,
+        observers: Iterable[EngineObserver],
+        checkpoint_interval: Optional[int],
+        sync: Optional[str],
+    ) -> "DurableEngine":
+        """Wrap *inner* as the writer of *tail*'s directory (see
+        :meth:`_init_common`); cadence and sync default to the
+        manifest's, *observers* attach after the replay."""
+        if checkpoint_interval is None:
+            checkpoint_interval = int(tail.manifest.get("checkpoint_interval", 64))
+        if sync is None:
+            sync = str(tail.manifest.get("sync", "checkpoint"))
+        engine = cls.__new__(cls)
+        engine._init_common(
+            inner,
+            tail.wal_path,
+            config=tail.config,
+            shards=tail.shards,
+            checkpoint_interval=checkpoint_interval,
+            sync=sync,
+            io=tail.io,
+            tail=tail,
+            lock=lock,
+            recovery_info=recovery_info,
+        )
+        for observer in observers:
+            inner.subscribe(observer)
+        return engine
 
     # -- delegation ---------------------------------------------------------------
 
@@ -698,7 +609,7 @@ class DurableEngine:
         """WAL-append *step*, apply it, checkpoint when the cadence is due."""
         self._require_open()
         seq = self._seq + 1
-        self._append(self._stream_for(step), _step_record_line(seq, step))
+        self._append(self._stream_for(step), wal_record_to_line(seq, step))
         self._seq = seq
         result = self._inner.feed(step)
         self._maybe_checkpoint()
@@ -905,7 +816,7 @@ class DurableEngine:
         path = self._checkpoints_dir / _checkpoint_name(seq)
         try:
             self._io.write_checkpoint(
-                path, _json.dumps(payload, separators=(",", ":")) + "\n"
+                path, json.dumps(payload, separators=(",", ":")) + "\n"
             )
         except BaseException:
             if path.exists():
@@ -941,8 +852,6 @@ class DurableEngine:
         if payload is None:
             # Resumed engine: the superseded link came from disk (once,
             # at recovery); read it back to strip its core.
-            import json
-
             try:
                 payload = json.loads(previous.read_text())
             except (OSError, json.JSONDecodeError):
@@ -971,9 +880,7 @@ class DurableEngine:
         finally:
             self._closed = True
             self._wal.close()
-            if self._lock is not None:
-                self._lock.release()
-                self._lock = None
+            self._lock.release()
 
     def simulate_crash(self) -> None:
         """Abandon the engine the way a process kill would.
@@ -981,18 +888,15 @@ class DurableEngine:
         Drops the segment file handles and the writer lock **without**
         checkpointing or truncating anything.  Every append was already
         flushed, so the on-disk state after this call is byte-identical
-        to a real mid-run crash; the lock is released because a dead
-        PID's stale lock is reclaimed by :func:`recover` anyway (in
-        process, holding it would just block the test's own recovery).
-        Crash-injection suites use this between "kill" and ``recover``.
+        to a real mid-run crash, and the lock descriptor is closed just
+        as the kernel closes a dead process's.  Crash-injection suites
+        use this between "kill" and ``recover``.
         """
         if self._closed:
             return
         self._closed = True
         self._wal.close()
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
+        self._lock.release()
 
     def __enter__(self) -> "DurableEngine":
         return self
@@ -1055,8 +959,6 @@ def _load_checkpoint_chain(
     checkpoint lands (``core_stripped``); only the **latest** link must
     still carry a restorable core.
     """
-    import json
-
     entries: List[Tuple[int, pathlib.Path]] = []
     if checkpoints_dir.is_dir():
         for path in checkpoints_dir.iterdir():
@@ -1111,115 +1013,12 @@ def _load_checkpoint_chain(
     return chain
 
 
-def _scan_segments(
-    segments_dir: pathlib.Path,
-) -> Tuple[
-    List[Tuple[int, Optional[Step], Optional[str]]],
-    int,
-    List[Tuple[pathlib.Path, int]],
-]:
-    """Parse every WAL record on disk, tolerating one torn line per
-    segment **tail** (repair happens later, after validation).
-
-    Returns (records sorted by seq, torn-line count, (file, good-prefix
-    byte length) pairs to repair).
-    """
-    records: List[Tuple[int, Optional[Step], Optional[str]]] = []
-    torn = 0
-    repairs: List[Tuple[pathlib.Path, int]] = []
-    if not segments_dir.is_dir():
-        return records, torn, repairs
-    for path in sorted(segments_dir.iterdir()):
-        if _parse_segment_name(path.name) is None:
-            continue
-        text = path.read_bytes().decode("utf-8", errors="replace")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        offset = 0
-        for index, line in enumerate(lines):
-            try:
-                seq, step, control = wal_record_from_line(line)
-            except ModelError as exc:
-                if index == len(lines) - 1:
-                    # The one legal artifact of a crash mid-append: the
-                    # final line of a segment.  Whether it is *the*
-                    # globally-last record is verified by the sequence
-                    # contiguity check after the merge.
-                    torn += 1
-                    repairs.append((path, offset))
-                    break
-                raise WalCorruptionError(
-                    f"unreadable WAL record at {path.name}:{index + 1} "
-                    f"(not the segment tail): {exc}"
-                ) from exc
-            records.append((seq, step, control))
-            offset += len(line.encode("utf-8")) + 1
-    records.sort(key=lambda item: item[0])
-    return records, torn, repairs
-
-
-def recover(
-    wal_dir,
-    *,
-    observers: Iterable[EngineObserver] = (),
-    checkpoint_interval: Optional[int] = None,
-    sync: Optional[str] = None,
-    io: Optional[StorageIO] = None,
-) -> DurableEngine:
-    """Rebuild a live :class:`DurableEngine` from a crashed ``wal_dir``.
-
-    Loads the latest valid checkpoint chain (corrupt chain ⇒
-    :class:`~repro.errors.RecoveryError`), replays the WAL tail in
-    sequence order (torn final record dropped and repaired; any other
-    damage ⇒ :class:`~repro.errors.WalCorruptionError`), and resumes
-    logging where the crash left off.  The result is byte-identical to an
-    uninterrupted run over the same logged prefix.  *observers* are
-    attached **after** replay, so they see only post-recovery events.
-
-    The exclusive writer lock is taken before the directory is read (a
-    live writer would mutate segments under the scan) and released again
-    if recovery fails; pass *io* to route the resumed engine's storage
-    calls — and this recovery's repairs — through a custom
-    :class:`~repro.faults.StorageIO` shim.
-    """
-    wal_path = pathlib.Path(wal_dir)
-    storage = io if io is not None else _DEFAULT_IO
-    storage.check("recover.start")
-    manifest = _load_manifest(wal_path)
-    shards = int(manifest["shards"])
-    try:
-        config = EngineConfig(**manifest["config"])
-    except (TypeError, ReproError) as exc:
-        raise RecoveryError(f"WAL manifest config is invalid: {exc}") from exc
-
-    lock = _WalLock.acquire(wal_path)
-    try:
-        return _recover_locked(
-            wal_path, manifest, config, shards,
-            observers=observers,
-            checkpoint_interval=checkpoint_interval,
-            sync=sync,
-            storage=storage,
-            lock=lock,
-        )
-    except BaseException:
-        lock.release()
-        raise
-
-
 @dataclass
 class _ChainState:
-    """Everything one checkpoint-chain restore yields.
+    """Everything one checkpoint-chain restore yields: the restored
+    engine plus the bookkeeping a writer resuming *this* chain needs."""
 
-    Shared between :func:`recover` and the replication follower
-    (:mod:`repro.replication`): both need the same strictly-validated
-    chain walk, delta splice, freshly-restored engine, and cursor
-    bookkeeping — recovery wraps it in a :class:`DurableEngine`, the
-    follower adopts it as its new live state.
-    """
-
-    chain: List[Tuple[Dict[str, Any], pathlib.Path]]
+    links: int  # checkpoints loaded
     checkpoint_seq: int
     epoch: int  # next WAL epoch hint (latest checkpoint's + 1, or 0)
     inner: Any  # restored engine (or a fresh build when no chain)
@@ -1319,7 +1118,7 @@ def _restore_from_chain(
         epoch = 0
         inner = build_engine(config, shards=shards)
     return _ChainState(
-        chain=chain,
+        links=len(chain),
         checkpoint_seq=checkpoint_seq,
         epoch=epoch,
         inner=inner,
@@ -1329,7 +1128,7 @@ def _restore_from_chain(
 
 
 def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
-    """Apply one WAL record to *inner* exactly as recovery does.
+    """Apply one WAL record to *inner* exactly as the original run did.
 
     Returns ``True`` when a step was applied, ``None`` when a step was
     rejected by the engine, and ``False`` for a control record.  A
@@ -1354,100 +1153,329 @@ def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
     return False
 
 
-def _recover_locked(
-    wal_path: pathlib.Path,
-    manifest: Dict[str, Any],
-    config: EngineConfig,
-    shards: int,
-    *,
-    observers: Iterable[EngineObserver],
-    checkpoint_interval: Optional[int],
-    sync: Optional[str],
-    storage: StorageIO,
-    lock: _WalLock,
-) -> DurableEngine:
-    state = _restore_from_chain(wal_path, config, shards)
-    checkpoint_seq = state.checkpoint_seq
-    epoch = state.epoch
-    inner = state.inner
-    cursors = state.cursors
-    chain = state.chain
-    latest_path = state.latest_path
+#: Chain reads retried while the chain head keeps advancing (see
+#: :meth:`_LogTail.adopt`), and extra read rounds one follow may spend
+#: chasing adoptions.
+_ADOPT_RETRIES = 3
 
-    records, torn, repairs = _scan_segments(wal_path / _SEGMENTS_DIR)
-    if torn > 1:
-        # A single crash can tear at most ONE append globally (records
-        # are written and flushed one at a time).  Two torn tails mean
-        # the log itself is damaged — and since a torn record's seq is
-        # unreadable, the contiguity check below could not see the loss.
-        raise WalCorruptionError(
-            f"{torn} torn segment tails found; a single crash can tear "
-            "at most one record, so this log is damaged, not crashed"
+
+class _LogTail:
+    """The one reader/applier over a ``wal_dir``'s checkpoint chain and
+    segment tail.
+
+    :meth:`adopt` restores an engine from the chain; :meth:`follow`
+    reads whatever segment bytes are new, stashes the records by seq,
+    applies the contiguous extension of the applied prefix and adopts
+    the chain again when the writer checkpointed past it.  The three
+    ways to take a directory over are entry points on this machine:
+    ``WalFollower.poll()`` follows *unsealed* beside a live writer;
+    :func:`recover` and ``WalFollower.promote()`` take the writer lock
+    and follow *sealed* to the end, then :meth:`repair` and wrap.
+
+    ``sealed`` (chosen by the entry point, never by a caller) is the
+    one mode switch — whether an append can still be in flight:
+
+    ======================================  =====================  ====================
+    found while following                   sealed (lock held)     unsealed (tailing)
+    ======================================  =====================  ====================
+    unterminated final fragment, parses     a record               not read yet
+    unterminated final fragment, invalid    the torn tail          not read yet
+    terminated unparsable **last** line     the torn tail          suspect, unconsumed
+    unparsable line anywhere else           corruption             corruption
+    more than one torn tail / suspect       corruption             corruption
+    duplicate seq above the watermark       corruption             corruption
+    gap left when the read ends             corruption             lag (stays stashed)
+    record at or below the watermark        skipped                skipped
+    ======================================  =====================  ====================
+    """
+
+    def __init__(self, wal_dir, io: StorageIO) -> None:
+        self.wal_path = pathlib.Path(wal_dir)
+        self.io = io
+        self.manifest = _load_manifest(self.wal_path)
+        self.shards = int(self.manifest["shards"])
+        try:
+            self.config = EngineConfig(**self.manifest["config"])
+        except (TypeError, ReproError) as exc:
+            raise RecoveryError(
+                f"WAL manifest config is invalid: {exc}"
+            ) from exc
+        self.chain: Optional[_ChainState] = None
+        self.engine: Any = None
+        self.sharded = False
+        #: watermark: every record with seq <= applied_seq is in engine
+        self.applied_seq = 0
+        #: highest seq seen on disk (may run ahead of applied_seq)
+        self.visible_seq = 0
+        #: byte offset of the first unconsumed byte, per segment name
+        self.offsets: Dict[str, int] = {}
+        #: parsed records not yet contiguous with the watermark, by seq
+        self.stash: Dict[int, Tuple[Optional[Step], Optional[str]]] = {}
+        #: (segment, good-prefix byte length) of each torn tail the
+        #: latest read found
+        self.torn: List[Tuple[pathlib.Path, int]] = []
+        self.records_applied = 0
+        self.replayed_steps = 0
+        self.replayed_controls = 0
+        self.adoptions = 0
+
+    # -- chain -------------------------------------------------------------------
+
+    def latest_checkpoint_seq(self) -> int:
+        checkpoints = self.wal_path / _CHECKPOINTS_DIR
+        latest = 0
+        if checkpoints.is_dir():
+            for path in checkpoints.iterdir():
+                seq = _parse_checkpoint_name(path.name)
+                if seq is not None and seq > latest:
+                    latest = seq
+        return latest
+
+    def adopt(self) -> bool:
+        """Restore from the checkpoint chain; False = racing, try later.
+
+        A live writer publishes checkpoint N and then strips N-1's core
+        (and superseded links), so a chain read overlapping the pair can
+        transiently see a coreless "latest" or lose a link mid-read.
+        While the chain *head keeps advancing* between attempts, any
+        :class:`RecoveryError` is that race, not damage — and if the
+        writer checkpoints faster than this process can restore (a
+        write burst on a loaded host), the tail stays on its current
+        engine until a later follow lands the adoption.  A failure with
+        a *static* head — always the case under the writer lock — is the
+        real thing and raises.
+        """
+        last_head = -1
+        for _attempt in range(_ADOPT_RETRIES):
+            head = self.latest_checkpoint_seq()
+            try:
+                state = _restore_from_chain(
+                    self.wal_path, self.config, self.shards
+                )
+            except RecoveryError:
+                if head == last_head:
+                    raise
+                last_head = head
+                continue
+            self.chain = state
+            self.engine = state.inner
+            self.sharded = isinstance(state.inner, ShardedEngine)
+            self.applied_seq = state.checkpoint_seq
+            self.visible_seq = max(self.visible_seq, self.applied_seq)
+            self.forget_reads()
+            return True
+        return False
+
+    # -- segments ----------------------------------------------------------------
+
+    def segment_paths(self) -> List[pathlib.Path]:
+        segments = self.wal_path / _SEGMENTS_DIR
+        if not segments.is_dir():
+            return []
+        return sorted(
+            path
+            for path in segments.iterdir()
+            if _parse_segment_name(path.name) is not None
         )
-    tail = [record for record in records if record[0] > checkpoint_seq]
-    expected = range(checkpoint_seq + 1, checkpoint_seq + 1 + len(tail))
-    actual = [record[0] for record in tail]
-    if actual != list(expected):
-        raise WalCorruptionError(
+
+    def forget_reads(self) -> None:
+        """Drop the incremental read state; the next read rescans every
+        segment from byte 0 (records at or below the watermark are
+        skipped by seq)."""
+        self.offsets.clear()
+        self.stash.clear()
+
+    def _read(self, sealed: bool) -> None:
+        """Parse every segment byte not consumed yet into the stash."""
+        self.torn = []
+        seen = set()
+        for path in self.segment_paths():
+            try:
+                data = self.io.read_bytes(path)
+            except FileNotFoundError:
+                continue  # truncated away mid-listing; adoption follows
+            if len(data) < self.offsets.get(path.name, 0):
+                # The segment shrank: a torn tail was repaired in place
+                # under our offsets.  Start the whole read over.
+                self.forget_reads()
+                return self._read(sealed)
+            seen.add(path.name)
+            self._read_segment(path, data, sealed)
+        for name in list(self.offsets):
+            if name not in seen:
+                del self.offsets[name]  # segment truncated by a checkpoint
+        if len(self.torn) > 1:
+            # A single crash can tear at most ONE append globally
+            # (records are written and flushed one at a time), and a
+            # torn record's seq is unreadable, so the contiguity check
+            # could not see what a second one lost.
+            raise WalCorruptionError(
+                f"{len(self.torn)} torn segment tails found in "
+                f"{self.wal_path}; a single crash can tear at most one "
+                "record, so this log is damaged, not crashed"
+            )
+
+    def _read_segment(self, path: pathlib.Path, data: bytes, sealed: bool) -> None:
+        name, size = path.name, len(data)
+        offset = self.offsets.get(name, 0)
+        lines = data[offset:].split(b"\n")
+        fragment = lines.pop()  # the bytes after the last newline, if any
+        if sealed and fragment:
+            # Nothing is in flight under the writer lock: the fragment
+            # is a record missing only its newline, or the torn tail.
+            lines.append(fragment)
+        in_flight = bool(fragment) and not sealed
+        for index, raw in enumerate(lines):
+            try:
+                seq, step, control = wal_record_from_line(
+                    raw.decode("utf-8", errors="replace")
+                )
+            except ModelError as exc:
+                if index == len(lines) - 1 and not in_flight:
+                    # The one legal artifact of a crash mid-append.  Its
+                    # offset stays put: repair() cuts there, and an
+                    # unsealed reader looks again next time.
+                    self.torn.append((path, offset))
+                    return
+                raise WalCorruptionError(
+                    f"unreadable WAL record in {name} at byte "
+                    f"{offset} (not the segment tail): {exc}"
+                ) from exc
+            # (min: a sealed record missing its newline ends at the end)
+            offset = min(offset + len(raw) + 1, size)
+            self.offsets[name] = offset
+            if seq > self.visible_seq:
+                self.visible_seq = seq
+            if seq <= self.applied_seq:
+                continue  # covered by the chain, segment not yet truncated
+            if seq in self.stash:
+                raise self._not_contiguous(f"seq {seq} appears twice")
+            self.stash[seq] = (step, control)
+
+    def _not_contiguous(self, detail: str) -> WalCorruptionError:
+        """The tail after checkpoint seq *s* must be s+1..n, each once."""
+        return WalCorruptionError(
             f"WAL tail is not contiguous after checkpoint seq "
-            f"{checkpoint_seq}: expected seqs {expected.start}.."
-            f"{expected.stop - 1}, found {actual[:20]}"
-            + ("..." if len(actual) > 20 else "")
+            f"{self.chain.checkpoint_seq}: {detail}"
         )
-    sharded = isinstance(inner, ShardedEngine)
-    replayed_steps = replayed_controls = 0
-    for _seq, step, control in tail:
-        outcome = _replay_record(inner, sharded, step, control)
-        if outcome is True:
-            replayed_steps += 1
-        elif outcome is False:
-            replayed_controls += 1
 
-    # Validation passed: repair the torn tails in place so a future
-    # recovery of the same directory sees only complete records.
-    repaired: List[str] = []
-    for path, offset in repairs:
-        storage.truncate(path, offset)
-        repaired.append(path.name)
+    # -- apply -------------------------------------------------------------------
 
-    max_seq = tail[-1][0] if tail else checkpoint_seq
-    for path in (wal_path / _SEGMENTS_DIR).iterdir():
-        parsed = _parse_segment_name(path.name)
-        if parsed is not None and parsed[0] >= epoch:
-            epoch = parsed[0] + 1
+    def _apply(self, sealed: bool) -> int:
+        """Apply the contiguous run the stash now extends; returns count."""
+        if (self.applied_seq + 1) not in self.stash:
+            return 0
+        if not sealed:
+            # The unsealed follow is a live follower's poll(); sealed
+            # take-overs never consult this site, so seeded fault plans
+            # keep their occurrence arithmetic.
+            self.io.check("follower.apply")
+        applied = 0
+        while (record := self.stash.pop(self.applied_seq + 1, None)) is not None:
+            outcome = _replay_record(self.engine, self.sharded, *record)
+            if outcome is True:
+                self.replayed_steps += 1
+            elif outcome is False:
+                self.replayed_controls += 1
+            self.applied_seq += 1
+            applied += 1
+        self.records_applied += applied
+        return applied
 
-    engine = DurableEngine.__new__(DurableEngine)
-    engine._init_common(
-        inner,
-        wal_path,
-        config=config,
-        shards=shards,
-        checkpoint_interval=(
-            checkpoint_interval
-            if checkpoint_interval is not None
-            else int(manifest.get("checkpoint_interval", 64))
-        ),
-        sync=sync if sync is not None else str(manifest.get("sync", "checkpoint")),
-        seq=max_seq,
-        epoch=epoch,
-        last_checkpoint_seq=checkpoint_seq,
-        cursors=cursors,
-        recovery_info=RecoveryInfo(
-            checkpoint_seq=checkpoint_seq,
-            checkpoints_loaded=len(chain),
-            replayed_steps=replayed_steps,
-            replayed_controls=replayed_controls,
-            torn_records_dropped=torn,
+    def follow(self, *, sealed: bool) -> int:
+        """Read what is new, apply what is contiguous, adopt the chain
+        when the writer checkpointed past the watermark (it truncated
+        the segments that held the records in between); returns records
+        applied.  A *sealed* follow ends with every record on disk
+        applied or raises."""
+        applied = 0
+        # An adoption forgets the reads, so the scan must rerun to pick
+        # up the tail past the new checkpoint; one extra round suffices
+        # unless the writer checkpoints faster than we read.
+        for _round in range(_ADOPT_RETRIES + 1):
+            self._read(sealed)
+            applied += self._apply(sealed)
+            behind = self.latest_checkpoint_seq() > self.applied_seq
+            if not (behind and self.adopt()):
+                break
+            self.adoptions += 1
+        if sealed and self.stash:
+            found = sorted(self.stash)
+            raise self._not_contiguous(
+                f"applied through seq {self.applied_seq}, then found "
+                f"{found[:20]}" + ("..." if len(found) > 20 else "")
+            )
+        return applied
+
+    # -- taking over -------------------------------------------------------------
+
+    def repair(self) -> "RecoveryInfo":
+        """After a sealed follow validated the log: cut the torn tail
+        off in place, so a later reader sees only complete records, and
+        report what this take-over found and did."""
+        repaired = []
+        for path, length in self.torn:
+            self.io.truncate(path, length)
+            repaired.append(path.name)
+        return RecoveryInfo(
+            checkpoint_seq=self.chain.checkpoint_seq,
+            checkpoints_loaded=self.chain.links,
+            replayed_steps=self.replayed_steps,
+            replayed_controls=self.replayed_controls,
+            torn_records_dropped=len(self.torn),
             repaired_segments=tuple(repaired),
-        ),
-        write_manifest=False,
-        last_checkpoint_path=latest_path,
-        io=storage,
-        lock=lock,
-    )
-    for observer in observers:
-        engine._inner.subscribe(observer)
-    return engine
+        )
+
+    def next_epoch(self) -> int:
+        """A resumed writer never appends to a segment that exists: its
+        epoch is past the chain's hint and past every segment on disk."""
+        epochs = [
+            _parse_segment_name(path.name)[0] + 1
+            for path in self.segment_paths()
+        ]
+        return max([self.chain.epoch] + epochs)
+
+
+def recover(
+    wal_dir,
+    *,
+    observers: Iterable[EngineObserver] = (),
+    checkpoint_interval: Optional[int] = None,
+    sync: Optional[str] = None,
+    io: Optional[StorageIO] = None,
+) -> DurableEngine:
+    """Rebuild a live :class:`DurableEngine` from a crashed ``wal_dir``.
+
+    Loads the latest valid checkpoint chain (corrupt chain ⇒
+    :class:`~repro.errors.RecoveryError`), replays the WAL tail in
+    sequence order (torn final record dropped and repaired; any other
+    damage ⇒ :class:`~repro.errors.WalCorruptionError`), and resumes
+    logging where the crash left off.  The result is byte-identical to an
+    uninterrupted run over the same logged prefix.  *observers* are
+    attached **after** replay, so they see only post-recovery events.
+
+    The exclusive writer lock is taken before the directory is read (a
+    live writer would mutate segments under the scan) and released again
+    if recovery fails; pass *io* to route the resumed engine's storage
+    calls — and this recovery's reads and repairs — through a custom
+    :class:`~repro.faults.StorageIO` shim.
+    """
+    storage = io if io is not None else _DEFAULT_IO
+    storage.check("recover.start")
+    tail = _LogTail(wal_dir, storage)
+    lock = _WalLock.acquire(tail.wal_path)
+    try:
+        tail.adopt()
+        tail.follow(sealed=True)
+        return DurableEngine._resume(
+            tail.engine, tail, lock, tail.repair(),
+            observers=observers,
+            checkpoint_interval=checkpoint_interval,
+            sync=sync,
+        )
+    except BaseException:
+        lock.release()
+        raise
 
 
 def open_durable(

@@ -233,13 +233,14 @@ class RecoveryError(DurabilityError):
 
 
 class WalLockedError(DurabilityError):
-    """Another live process holds the exclusive lock on this ``wal_dir``.
+    """Another live writer holds the exclusive lock on this ``wal_dir``.
 
     Two writers appending to the same log would interleave sequence
     numbers and corrupt the segment order, so opening (or recovering) a
-    locked directory refuses up front.  Locks left behind by *dead*
-    processes are reclaimed automatically — this error always names a
-    PID that is still running.
+    locked directory refuses up front.  The lock is a kernel-held
+    ``flock`` that dies with its holder, so this error always means a
+    writer that is still running; ``pid`` is the PID it recorded in the
+    ``LOCK`` file (diagnostics only; -1 when caught mid-write).
     """
 
     def __init__(self, wal_dir: object, pid: int) -> None:

@@ -8,68 +8,44 @@ module turns that observation into *read replicas*: a
 writer lock**, replaying new records into a live engine incrementally
 instead of re-running :func:`~repro.durability.recover` from scratch.
 
-The follower reuses recovery's machinery and guarantees wholesale:
+The follower *is* recovery's machinery, not a copy of it: both are
+entry points on the one log-tail state machine in
+:mod:`repro.durability` (chain restore → incremental segment read →
+in-order apply).  :meth:`WalFollower.poll` runs it *unsealed* — beside a
+live writer, where an unterminated fragment is an append in flight and a
+gap is lag; ``recover()`` and :meth:`WalFollower.promote` run it
+*sealed* under the writer lock, where the same fragment is a record or
+the torn tail and a gap is corruption.  So a follower that has applied
+seq *n* is byte-identical to a recovery of the log's first *n* records,
+at most **one** torn segment tail is ever tolerated, and when the
+primary checkpoints + truncates segments out from under the tail the
+follower *adopts* the chain rather than stalling on the vanished prefix.
 
-* the manifest and checkpoint chain are validated by the same code
-  recovery uses (:func:`~repro.durability._load_manifest` /
-  :func:`~repro.durability._restore_from_chain`);
-* at most **one** torn segment tail is tolerated (a crash tears at most
-  one append) — a second unreadable record is
-  :class:`~repro.errors.WalCorruptionError`, exactly as in recovery;
-* records are applied in strict sequence order with recovery's
-  swallow-deterministic-rejection semantics
-  (:func:`~repro.durability._replay_record`), so a follower that has
-  applied seq *n* is byte-identical to a recovery of the log's first
-  *n* records.
-
-Because the primary may checkpoint + truncate covered segments out from
-under the tail, the follower watches the checkpoint directory: whenever
-the latest checkpoint's seq passes the applied watermark, the follower
-*adopts* it — restoring a fresh engine from the chain and resuming the
-tail past it — rather than stalling on the vanished prefix.
-
-Failover is :meth:`WalFollower.promote`: seal the tail (take the writer
-lock — a still-live primary makes this raise
+Failover is :meth:`WalFollower.promote`: take the writer lock (a
+kernel-held ``flock`` — a still-live primary makes this raise
 :class:`~repro.errors.WalLockedError`, the zero-acknowledged-write-loss
-guard), catch up to the sealed log, optionally verify the warm engine
-byte-for-byte against an independent restore, repair any torn tail, and
-hand back a writable :class:`~repro.durability.DurableEngine` wrapping
-the already-warm follower engine — no cold restart.  Promotions are
-recorded in a ``PROMOTIONS.json`` audit marker beside the manifest (not
-in the WAL: a promotion consumes no sequence number, so client-side
-``wal_seq`` watermarks stay valid across failover).
+guard), follow the warm engine to the sealed end, verify it
+byte-for-byte against an independent sealed follow of the same
+directory, repair any torn tail, and hand back a writable
+:class:`~repro.durability.DurableEngine` wrapping the already-warm
+follower engine — no cold restart.  Promotions are recorded in a
+``PROMOTIONS.json`` audit marker beside the manifest (not in the WAL: a
+promotion consumes no sequence number, so client-side ``wal_seq``
+watermarks stay valid across failover).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.durability import (
-    DurableEngine,
-    _CHECKPOINTS_DIR,
-    _DEFAULT_IO,
-    _SEGMENTS_DIR,
-    _WalLock,
-    _load_manifest,
-    _parse_checkpoint_name,
-    _parse_segment_name,
-    _replay_record,
-    _restore_from_chain,
-    _scan_segments,
-)
-from repro.engine import EngineConfig, EngineObserver, ShardedEngine
-from repro.errors import (
-    DurabilityError,
-    ModelError,
-    PromotionError,
-    RecoveryError,
-    ReproError,
-    WalCorruptionError,
-)
+from repro.durability import DurableEngine, _DEFAULT_IO, _LogTail, _WalLock
+from repro.engine import EngineObserver
+from repro.errors import DurabilityError, ModelError, PromotionError
 from repro.faults import StorageIO
 from repro.io import atomic_write_json, engine_snapshot_to_json, wal_record_from_line
 
@@ -84,12 +60,6 @@ PROMOTIONS_NAME = "PROMOTIONS.json"
 
 #: How many bytes of each segment tail :meth:`WalFollower.probe` reads.
 _PROBE_TAIL_BYTES = 4096
-
-#: Immediate retries for a checkpoint-chain read that races the
-#: primary's core-stripping of the superseded link (publish-then-strip
-#: is two atomic writes; a directory listing taken between them can see
-#: a transiently coreless "latest").
-_ADOPT_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -119,8 +89,6 @@ class ReplicaLag:
 
 def read_promotions(wal_dir) -> List[Dict[str, Any]]:
     """The ``PROMOTIONS.json`` audit trail of *wal_dir* (empty if none)."""
-    import json
-
     path = pathlib.Path(wal_dir) / PROMOTIONS_NAME
     try:
         payload = json.loads(path.read_text())
@@ -147,53 +115,42 @@ class WalFollower:
     """
 
     def __init__(self, wal_dir, *, io: Optional[StorageIO] = None) -> None:
-        self._wal_path = pathlib.Path(wal_dir)
         self._io = io if io is not None else _DEFAULT_IO
-        self._manifest = _load_manifest(self._wal_path)
-        self._shards = int(self._manifest["shards"])
-        try:
-            self._config = EngineConfig(**self._manifest["config"])
-        except (TypeError, ReproError) as exc:
-            raise RecoveryError(
-                f"WAL manifest config is invalid: {exc}"
-            ) from exc
-        #: byte offset of the first unconsumed byte, per segment name
-        self._offsets: Dict[str, int] = {}
-        #: parsed-but-not-yet-contiguous records, keyed by seq
-        self._stash: Dict[int, Tuple[Any, Optional[str]]] = {}
-        self._applied_seq = 0
-        self._visible_seq = 0
+        self._tail = _LogTail(wal_dir, self._io)
+        self._tail.adopt()
         self._behind_since: Optional[float] = None
         self._closed = False
         self._promoted = False
         self.polls = 0
-        self.records_applied = 0
-        self.checkpoints_adopted = 0
-        self._engine: Any = None
-        self._sharded = False
-        self._adopt_chain()
-        self._visible_seq = self._applied_seq
 
     # -- introspection -----------------------------------------------------------
 
     @property
     def wal_dir(self) -> pathlib.Path:
-        return self._wal_path
+        return self._tail.wal_path
 
     @property
     def engine(self):
         """The live follower engine (read it, never feed it)."""
-        return self._engine
+        return self._tail.engine
 
     @property
     def wal_seq(self) -> int:
         """Replica watermark: highest seq applied to :attr:`engine`."""
-        return self._applied_seq
+        return self._tail.applied_seq
 
     @property
     def visible_seq(self) -> int:
         """Highest seq observed on disk (may exceed :attr:`wal_seq`)."""
-        return self._visible_seq
+        return self._tail.visible_seq
+
+    @property
+    def records_applied(self) -> int:
+        return self._tail.records_applied
+
+    @property
+    def checkpoints_adopted(self) -> int:
+        return self._tail.adoptions
 
     @property
     def closed(self) -> bool:
@@ -205,8 +162,8 @@ class WalFollower:
 
     def __repr__(self) -> str:
         return (
-            f"WalFollower(wal_dir={str(self._wal_path)!r}, "
-            f"applied={self._applied_seq}, visible={self._visible_seq}, "
+            f"WalFollower(wal_dir={str(self.wal_dir)!r}, "
+            f"applied={self.wal_seq}, visible={self.visible_seq}, "
             f"adopted={self.checkpoints_adopted})"
         )
 
@@ -237,184 +194,22 @@ class WalFollower:
         records flushed out of scan order stay stashed for the next
         poll.  When the primary's latest checkpoint passes the applied
         watermark (it truncated segments the follower still needed),
-        the checkpoint chain is adopted and tailing resumes past it.
+        the checkpoint chain is adopted and tailing resumes past it —
+        or, when the primary checkpoints faster than this host can
+        restore, the follower keeps serving (lag-guarded) stale reads
+        until a later poll lands the adoption.
         """
         self._require_live()
         self._io.check("follower.read")
         self.polls += 1
-        applied = 0
-        # An adoption clears the offsets, so the segment scan must rerun
-        # to pick up the tail past the new checkpoint; one extra round
-        # suffices unless the primary checkpoints faster than we read.
-        for _round in range(_ADOPT_RETRIES + 1):
-            self._read_new_records()
-            applied += self._apply_stashed()
-            if not self._maybe_adopt():
-                break
+        applied = self._tail.follow(sealed=False)
         self._update_clock()
         return applied
-
-    def _segment_paths(self) -> List[pathlib.Path]:
-        segments = self._wal_path / _SEGMENTS_DIR
-        if not segments.is_dir():
-            return []
-        paths = [
-            path
-            for path in segments.iterdir()
-            if _parse_segment_name(path.name) is not None
-        ]
-        paths.sort()
-        return paths
-
-    def _read_new_records(self) -> None:
-        """Parse every newly-flushed complete line into the stash."""
-        suspects = 0
-        seen = set()
-        for path in self._segment_paths():
-            seen.add(path.name)
-            offset = self._offsets.get(path.name, 0)
-            try:
-                data = self._io.read_bytes(path)
-            except FileNotFoundError:
-                continue  # truncated away mid-listing; next poll adopts
-            if len(data) < offset:
-                # The segment shrank: a recovery/promotion repaired a
-                # torn tail in place.  Rescan from the top — records
-                # at or below the watermark are skipped by seq anyway.
-                offset = 0
-            suspects += self._parse_segment(path.name, data, offset)
-        for name in list(self._offsets):
-            if name not in seen:
-                del self._offsets[name]  # segment truncated by checkpoint
-        if suspects > 1:
-            raise WalCorruptionError(
-                f"{suspects} torn segment tails found while tailing "
-                f"{self._wal_path}; a single crash can tear at most one "
-                "record, so this log is damaged, not crashed"
-            )
-
-    def _parse_segment(self, name: str, data: bytes, offset: int) -> int:
-        """Consume complete lines of one segment; returns suspect count.
-
-        Only newline-terminated lines are parsed — a trailing fragment
-        is an append still in flight, never an error.  An unparsable
-        *complete* line at end-of-file is the one legal artifact of a
-        crashed append ("suspect": left unconsumed for promote-time
-        repair); anywhere else it is corruption.
-        """
-        chunk = data[offset:]
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            return 0
-        trailing_fragment = cut + 1 < len(chunk)
-        lines = chunk[: cut + 1].split(b"\n")[:-1]
-        position = offset
-        for index, raw in enumerate(lines):
-            line = raw.decode("utf-8", errors="replace")
-            try:
-                seq, step, control = wal_record_from_line(line)
-            except ModelError as exc:
-                if index == len(lines) - 1 and not trailing_fragment:
-                    return 1  # suspect torn tail; offset stays put
-                raise WalCorruptionError(
-                    f"unreadable WAL record in {name} at byte {position} "
-                    f"(not the segment tail): {exc}"
-                ) from exc
-            position += len(raw) + 1
-            self._offsets[name] = position
-            if seq > self._visible_seq:
-                self._visible_seq = seq
-            if seq > self._applied_seq:
-                self._stash[seq] = (step, control)
-        return 0
-
-    def _apply_stashed(self) -> int:
-        """Apply the contiguous run the stash now extends; returns count."""
-        if (self._applied_seq + 1) not in self._stash:
-            return 0
-        self._io.check("follower.apply")
-        applied = 0
-        while True:
-            record = self._stash.pop(self._applied_seq + 1, None)
-            if record is None:
-                break
-            step, control = record
-            _replay_record(self._engine, self._sharded, step, control)
-            self._applied_seq += 1
-            applied += 1
-        self.records_applied += applied
-        return applied
-
-    # -- checkpoint adoption -----------------------------------------------------
-
-    def _latest_checkpoint_seq(self) -> int:
-        checkpoints = self._wal_path / _CHECKPOINTS_DIR
-        latest = 0
-        if checkpoints.is_dir():
-            for path in checkpoints.iterdir():
-                seq = _parse_checkpoint_name(path.name)
-                if seq is not None and seq > latest:
-                    latest = seq
-        return latest
-
-    def _maybe_adopt(self) -> bool:
-        """Adopt the chain when it has passed the applied watermark.
-
-        A checkpoint at seq *s* truncates every segment that held seqs
-        ≤ *s*; if *s* is past what we applied, the records we were
-        waiting for are gone and the chain is the only way forward.
-        """
-        if self._latest_checkpoint_seq() <= self._applied_seq:
-            return False
-        adopted = self._adopt_chain()
-        if adopted:
-            self.checkpoints_adopted += 1
-        return adopted
-
-    def _adopt_chain(self) -> bool:
-        """Restore from the checkpoint chain; False = racing, try later.
-
-        The primary publishes checkpoint N and then strips N-1's core
-        (and superseded links), so a chain read overlapping the pair can
-        transiently see a coreless "latest" or lose a link mid-read.
-        While the chain *head keeps advancing* between attempts, any
-        :class:`RecoveryError` is that race, not damage — and if the
-        primary checkpoints faster than this process can restore (a
-        write burst on a loaded host), the follower stays on its current
-        snapshot and serves (lag-guarded) stale reads until a later poll
-        lands the adoption.  A failure with a *static* head is the real
-        thing: a quiescent chain whose latest has no core cannot restore.
-        """
-        last_head = -1
-        for _attempt in range(_ADOPT_RETRIES):
-            head = self._latest_checkpoint_seq()
-            try:
-                state = _restore_from_chain(
-                    self._wal_path, self._config, self._shards
-                )
-            except RecoveryError:
-                if head == last_head:
-                    raise
-                last_head = head
-                continue
-            self._engine = state.inner
-            self._sharded = isinstance(state.inner, ShardedEngine)
-            self._applied_seq = state.checkpoint_seq
-            if self._visible_seq < self._applied_seq:
-                self._visible_seq = self._applied_seq
-            self._offsets.clear()
-            self._stash = {
-                seq: record
-                for seq, record in self._stash.items()
-                if seq > self._applied_seq
-            }
-            return True
-        return False
 
     # -- lag ---------------------------------------------------------------------
 
     def _update_clock(self) -> None:
-        if self._visible_seq > self._applied_seq:
+        if self.visible_seq > self.wal_seq:
             if self._behind_since is None:
                 # Lag telemetry only: this wall-clock stamp feeds the
                 # human-facing lag_seconds metric and never influences
@@ -432,7 +227,8 @@ class WalFollower:
         honest lag without a full poll.
         """
         self._require_live()
-        for path in self._segment_paths():
+        tail = self._tail
+        for path in tail.segment_paths():
             try:
                 size = path.stat().st_size
                 data = self._io.read_tail(
@@ -448,11 +244,11 @@ class WalFollower:
                     )
                 except ModelError:
                     continue  # partial first line of the window, or torn
-                if seq > self._visible_seq:
-                    self._visible_seq = seq
+                if seq > tail.visible_seq:
+                    tail.visible_seq = seq
                 break
         self._update_clock()
-        return self._visible_seq
+        return tail.visible_seq
 
     def lag(self, *, probe: bool = False) -> ReplicaLag:
         """Current replica lag; ``probe=True`` refreshes visibility first."""
@@ -460,15 +256,15 @@ class WalFollower:
             self.probe()
         else:
             self._update_clock()
-        lag_seq = max(0, self._visible_seq - self._applied_seq)
+        lag_seq = max(0, self.visible_seq - self.wal_seq)
         if lag_seq and self._behind_since is not None:
             # Telemetry, not state (see _update_clock).  # lint: allow(determinism)
             lag_seconds = max(0.0, time.monotonic() - self._behind_since)
         else:
             lag_seconds = 0.0
         return ReplicaLag(
-            applied_seq=self._applied_seq,
-            visible_seq=self._visible_seq,
+            applied_seq=self.wal_seq,
+            visible_seq=self.visible_seq,
             lag_seq=lag_seq,
             lag_seconds=lag_seconds,
         )
@@ -489,13 +285,17 @@ class WalFollower:
         so promotion against a healthy primary raises
         :class:`~repro.errors.WalLockedError` before anything is
         touched: an acknowledged write can never be orphaned by a
-        premature failover.  With the log sealed, the remaining tail is
-        applied (same contiguity and single-torn-tail rules as
-        recovery), any torn record is repaired in place, and — when
-        *verify* is set — the warm engine is compared **byte-for-byte**
-        against an independent restore-and-replay of the same log; a
-        mismatch raises :class:`~repro.errors.PromotionError` and
-        releases the lock, leaving the directory recoverable.
+        premature failover.  With the log sealed, the warm engine is
+        followed to its end (same contiguity and single-torn-tail rules
+        as recovery; the chain is adopted first if the primary
+        checkpointed past this follower), and a second, independent
+        sealed follow of the same directory yields both the chain
+        bookkeeping the new writer resumes on and the oracle: it must
+        end at the same seq and — when *verify* is set — hold a
+        **byte-identical** engine.  A mismatch raises
+        :class:`~repro.errors.PromotionError` and releases the lock,
+        leaving the directory recoverable.  Only then is a torn record
+        repaired in place.
 
         Returns a live :class:`~repro.durability.DurableEngine` wrapping
         the follower's warm engine (no manifest rewrite — the directory
@@ -504,124 +304,41 @@ class WalFollower:
         """
         self._require_live()
         self._io.check("promote.seal")
-        lock = _WalLock.acquire(self._wal_path)
+        lock = _WalLock.acquire(self.wal_dir)
         try:
-            state = _restore_from_chain(
-                self._wal_path, self._config, self._shards
-            )
-            records, torn, repairs = _scan_segments(
-                self._wal_path / _SEGMENTS_DIR
-            )
-            if torn > 1:
-                raise WalCorruptionError(
-                    f"{torn} torn segment tails found; a single crash can "
-                    "tear at most one record, so this log is damaged, not "
-                    "crashed"
+            warm = self._tail
+            warm.follow(sealed=True)
+            oracle = _LogTail(self.wal_dir, self._io)
+            oracle.adopt()
+            oracle.follow(sealed=True)
+            if warm.applied_seq != oracle.applied_seq or (
+                verify
+                and engine_snapshot_to_json(warm.engine.snapshot())
+                != engine_snapshot_to_json(oracle.engine.snapshot())
+            ):
+                raise PromotionError(
+                    f"follower state at seq {warm.applied_seq} disagrees "
+                    f"with an independent restore of the same log (seq "
+                    f"{oracle.applied_seq}); refusing to promote a "
+                    "divergent replica"
                 )
-            tail = [r for r in records if r[0] > state.checkpoint_seq]
-            expected = range(
-                state.checkpoint_seq + 1, state.checkpoint_seq + 1 + len(tail)
+            oracle.repair()
+            engine = DurableEngine._resume(
+                warm.engine, oracle, lock, None,
+                observers=observers,
+                checkpoint_interval=checkpoint_interval,
+                sync=sync,
             )
-            actual = [r[0] for r in tail]
-            if actual != list(expected):
-                raise WalCorruptionError(
-                    f"WAL tail is not contiguous after checkpoint seq "
-                    f"{state.checkpoint_seq}: expected seqs "
-                    f"{expected.start}..{expected.stop - 1}, found "
-                    f"{actual[:20]}" + ("..." if len(actual) > 20 else "")
-                )
-            sealed_seq = actual[-1] if actual else state.checkpoint_seq
-            warm = self._applied_seq >= state.checkpoint_seq
-            if warm:
-                # Catch the warm engine up to the sealed log.
-                inner = self._engine
-                for seq, step, control in tail:
-                    if seq <= self._applied_seq:
-                        continue
-                    _replay_record(inner, self._sharded, step, control)
-                    self._applied_seq = seq
-            else:
-                # The primary checkpointed past us and the prefix is
-                # gone: the chain restore *is* the freshest state.
-                inner = state.inner
-                for seq, step, control in tail:
-                    _replay_record(
-                        inner, isinstance(inner, ShardedEngine), step, control
-                    )
-                self._applied_seq = sealed_seq
-            if verify and warm:
-                # state.inner is an independent restore of the same
-                # chain; replaying the sealed tail into it yields the
-                # oracle the warm engine must match byte-for-byte.
-                oracle = state.inner
-                oracle_sharded = isinstance(oracle, ShardedEngine)
-                for _seq, step, control in tail:
-                    _replay_record(oracle, oracle_sharded, step, control)
-                if engine_snapshot_to_json(
-                    oracle.snapshot()
-                ) != engine_snapshot_to_json(inner.snapshot()):
-                    raise PromotionError(
-                        f"follower state at seq {sealed_seq} disagrees "
-                        "with an independent restore of the same log; "
-                        "refusing to promote a divergent replica"
-                    )
-            for path, offset in repairs:
-                self._io.truncate(path, offset)
-            epoch = state.epoch
-            for path in self._segment_paths():
-                parsed = _parse_segment_name(path.name)
-                if parsed is not None and parsed[0] >= epoch:
-                    epoch = parsed[0] + 1
-            self._record_promotion(
-                seq=sealed_seq,
-                checkpoint_seq=state.checkpoint_seq,
-                epoch=epoch,
-            )
-            engine = DurableEngine.__new__(DurableEngine)
-            engine._init_common(
-                inner,
-                self._wal_path,
-                config=self._config,
-                shards=self._shards,
-                checkpoint_interval=(
-                    checkpoint_interval
-                    if checkpoint_interval is not None
-                    else int(self._manifest.get("checkpoint_interval", 64))
-                ),
-                sync=(
-                    sync
-                    if sync is not None
-                    else str(self._manifest.get("sync", "checkpoint"))
-                ),
-                seq=sealed_seq,
-                epoch=epoch,
-                last_checkpoint_seq=state.checkpoint_seq,
-                cursors=state.cursors,
-                recovery_info=None,
-                write_manifest=False,
-                last_checkpoint_path=state.latest_path,
-                io=self._io,
-                lock=lock,
-            )
+            self._record_promotion(engine)
         except BaseException:
             lock.release()
             raise
-        for observer in observers:
-            engine._inner.subscribe(observer)
         self._promoted = True
-        self._closed = True
-        self._visible_seq = max(self._visible_seq, sealed_seq)
-        self._offsets.clear()
-        self._stash.clear()
-        self._behind_since = None
+        self.close()
         return engine
 
-    def _record_promotion(
-        self, *, seq: int, checkpoint_seq: int, epoch: int
-    ) -> None:
-        import json
-
-        path = self._wal_path / PROMOTIONS_NAME
+    def _record_promotion(self, engine: DurableEngine) -> None:
+        path = self.wal_dir / PROMOTIONS_NAME
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
@@ -632,9 +349,9 @@ class WalFollower:
             payload = {"format": 1, "kind": "wal-promotions", "entries": []}
         payload["entries"].append(
             {
-                "seq": seq,
-                "checkpoint_seq": checkpoint_seq,
-                "epoch": epoch,
+                "seq": engine.seq,
+                "checkpoint_seq": engine.last_checkpoint_seq,
+                "epoch": engine._wal.epoch,
                 "pid": os.getpid(),
                 # Deliberately out-of-band: PROMOTIONS.json is a forensic
                 # audit trail read by humans after a failover, never by
@@ -650,8 +367,8 @@ class WalFollower:
     def close(self) -> None:
         """Stop following; the follower holds no locks or open handles."""
         self._closed = True
-        self._offsets.clear()
-        self._stash.clear()
+        self._behind_since = None
+        self._tail.forget_reads()
 
     def __enter__(self) -> "WalFollower":
         return self

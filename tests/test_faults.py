@@ -319,7 +319,10 @@ class TestWalLock:
             wal_dir=tmp_path / "wal",
         )
         durable.close()
-        assert not (tmp_path / "wal" / LOCK_NAME).exists()
+        # The directory is lockable again — and the LOCK file stays put
+        # (unlinking a flocked path would let a later opener lock a
+        # fresh inode beside a holder of the old one).
+        assert (tmp_path / "wal" / LOCK_NAME).exists()
         recovered = recover(tmp_path / "wal")
         recovered.close()
 

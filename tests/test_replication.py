@@ -21,7 +21,6 @@ from repro.durability import DurableEngine, recover
 from repro.errors import (
     DurabilityError,
     PromotionError,
-    WalCorruptionError,
     WalLockedError,
 )
 from repro.faults import FaultPlan, FaultSpec, FaultyIO, InjectedIOError
@@ -169,60 +168,6 @@ class TestTailing:
 
 
 class TestTornTails:
-    def test_trailing_fragment_is_an_append_in_flight(self, tmp_path):
-        durable = _durable(tmp_path)
-        durable.feed_many(_stream()[:20])
-        follower = WalFollower(tmp_path / "wal")
-        follower.poll()
-        applied = follower.wal_seq
-        segment = _last_segment(tmp_path / "wal")
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write('{"format":1,"seq":9999,"step":{"kind":"re')
-        assert follower.poll() == 0  # no newline: not yet a record
-        assert follower.wal_seq == applied
-        durable.close()
-        follower.close()
-
-    def test_single_torn_complete_line_is_suspect_not_fatal(self, tmp_path):
-        durable = _durable(tmp_path)
-        durable.feed_many(_stream()[:20])
-        durable.simulate_crash()
-        segment = _last_segment(tmp_path / "wal")
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write('{"format":1,"seq":9999,"step":{"kind":"re\n')
-        follower = WalFollower(tmp_path / "wal")
-        follower.poll()  # tolerated: one crash tears at most one record
-        assert follower.wal_seq == 20
-        follower.close()
-
-    def test_two_torn_tails_are_corruption(self, tmp_path):
-        stream = _stream()
-        durable = DurableEngine(
-            scheduler="conflict-graph", policy="eager-c1",
-            wal_dir=tmp_path / "wal", shards=2, checkpoint_interval=0,
-        )
-        durable.feed_many(stream[:30])
-        durable.simulate_crash()
-        segments = sorted((tmp_path / "wal" / "segments").iterdir())
-        assert len(segments) >= 2
-        for segment in segments[:2]:
-            with open(segment, "a", encoding="utf-8") as handle:
-                handle.write('{"format":1,"seq":77,"st\n')
-        follower = WalFollower(tmp_path / "wal")
-        with pytest.raises(WalCorruptionError, match="torn segment tails"):
-            follower.poll()
-
-    def test_mid_segment_corruption_aborts(self, tmp_path):
-        durable = _durable(tmp_path)
-        durable.feed_many(_stream()[:20])
-        durable.simulate_crash()
-        segment = _last_segment(tmp_path / "wal")
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write('not json at all\n{"format":1,"seq":9999,"ste')
-        follower = WalFollower(tmp_path / "wal")
-        with pytest.raises(WalCorruptionError, match="not the segment tail"):
-            follower.poll()
-
     def test_repaired_shrunken_segment_is_rescanned(self, tmp_path):
         """A recovery repairs a torn tail in place (the file shrinks);
         the follower's stale byte offset must reset, not misparse."""
@@ -317,27 +262,6 @@ class TestPromotion:
         finally:
             promoted.close()
 
-    def test_promote_repairs_torn_tail(self, tmp_path):
-        durable = _durable(tmp_path)
-        durable.feed_many(_stream()[:20])
-        durable.simulate_crash()
-        segment = _last_segment(tmp_path / "wal")
-        with open(segment, "a", encoding="utf-8") as handle:
-            handle.write('{"format":1,"seq":9999,"step":{"kind":"re')
-        follower = WalFollower(tmp_path / "wal")
-        follower.poll()
-        promoted = follower.promote()
-        try:
-            assert promoted.seq == 20
-            # The torn bytes are gone for good: a later recovery of the
-            # same directory sees a clean log.
-            promoted.feed_many(_stream()[20:25])
-        finally:
-            promoted.close()
-        again = recover(tmp_path / "wal")
-        assert again.recovery_info.torn_records_dropped == 0
-        again.close()
-
     def test_promoted_engine_is_writable_and_durable(self, tmp_path):
         stream = _stream()
         durable = _durable(tmp_path)
@@ -354,21 +278,6 @@ class TestPromotion:
         assert check.seq == final_seq
         assert _fingerprint(check.engine) == final
         check.close()
-
-    def test_cold_promote_uses_chain_restore(self, tmp_path):
-        """A follower the primary checkpointed past (its applied prefix
-        was truncated before it ever polled) promotes from the chain."""
-        stream = _stream()
-        durable = _durable(tmp_path, checkpoint_interval=8)
-        follower = WalFollower(tmp_path / "wal")  # adopts the empty chain
-        durable.feed_many(stream)
-        durable.simulate_crash()
-        oracle = _recovery_fingerprint(tmp_path / "wal", tmp_path)
-        promoted = follower.promote()  # never polled: behind the chain
-        try:
-            assert _fingerprint(promoted._inner) == oracle
-        finally:
-            promoted.close()
 
     def test_promotions_marker_is_audited(self, tmp_path):
         durable = _durable(tmp_path)
@@ -424,9 +333,7 @@ class TestPromotion:
         follower.poll()
         durable.simulate_crash()
         # Corrupt the warm engine behind the follower's back.
-        follower.engine.snapshot  # still alive
-        follower._applied_seq = follower._applied_seq  # no-op
-        follower._engine = recover_divergent(tmp_path, _stream())
+        follower._tail.engine = recover_divergent(tmp_path, _stream())
         with pytest.raises(PromotionError, match="divergent"):
             follower.promote()
         # The failed attempt released the writer lock.
@@ -511,7 +418,7 @@ class TestAdoptionRace:
 
     def test_racing_chain_defers_instead_of_dying(self, tmp_path,
                                                   monkeypatch):
-        from repro import replication as replication_module
+        from repro import durability as durability_module
         from repro.errors import RecoveryError
 
         follower = self._behind_follower(tmp_path)
@@ -521,10 +428,10 @@ class TestAdoptionRace:
 
         heads = iter(range(100, 200))
         monkeypatch.setattr(
-            replication_module, "_restore_from_chain", _always_stripped
+            durability_module, "_restore_from_chain", _always_stripped
         )
         monkeypatch.setattr(
-            follower, "_latest_checkpoint_seq", lambda: next(heads)
+            follower._tail, "latest_checkpoint_seq", lambda: next(heads)
         )
         # Head advances between every attempt: poll survives, adopts
         # nothing, and stays on its current (stale but serving) state.
@@ -541,7 +448,7 @@ class TestAdoptionRace:
 
     def test_static_coreless_head_still_raises(self, tmp_path,
                                                monkeypatch):
-        from repro import replication as replication_module
+        from repro import durability as durability_module
         from repro.errors import RecoveryError
 
         follower = self._behind_follower(tmp_path)
@@ -550,7 +457,7 @@ class TestAdoptionRace:
             raise RecoveryError("latest checkpoint has no core")
 
         monkeypatch.setattr(
-            replication_module, "_restore_from_chain", _always_stripped
+            durability_module, "_restore_from_chain", _always_stripped
         )
         # The real chain head is static (the primary is closed), so the
         # second attempt sees the same head and raises for the caller.
