@@ -170,7 +170,16 @@ def noncurrent_transactions(
 ) -> FrozenSet[TxnId]:
     """All completed transactions that Corollary 1 lets us remove.
 
-    One set difference over the maintained completed-set index — no
-    per-transaction membership loop.
+    The tracker maintains the resident transactions holding no current
+    value (:meth:`CurrencyTracker.idle_transactions`); the selection is
+    its members that have completed.  Cost is O(candidates) — the
+    transactions that lapsed since the last sweep plus the few active
+    ones holding nothing — independent of how many completed
+    transactions the graph retains.  A pure query: a candidate leaves
+    the tracker's set when it leaves the graph, not when it is returned.
     """
-    return graph.completed_transactions() - currency.current_transactions()
+    return frozenset(
+        txn
+        for txn in currency.idle_transactions()
+        if txn in graph and graph.is_completed(txn)
+    )

@@ -17,8 +17,8 @@ tight-path sets, trial deletions on the live graph — see
 policy                        criterion                   cost per invocation
 ============================  ==========================  ============================================
 :class:`NeverDeletePolicy`    nothing                     O(1)
-:class:`Lemma1Policy`         no active predecessors      O(candidates) ancestor-set probes
-:class:`NoncurrentPolicy`     Corollary 1 noncurrency     O(completed) one set difference
+:class:`Lemma1Policy`         no active predecessors      O(committed) ANDs; ids only for the selected
+:class:`NoncurrentPolicy`     Corollary 1 noncurrency     O(lapsed since last sweep + idle actives)
 :class:`EagerC1Policy`        maximal greedy C2 subset    O(Σ tight sets of dirty candidates), no copy
 :class:`OptimalPolicy`        maximum C2 subset           exponential (Thm 5), demand build copy-free
 :class:`EagerC4Policy`        repeated C4 (predeclared)   poly; live-graph trial + undo log, no copy
@@ -59,14 +59,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import FrozenSet, Optional, Sequence
 
-from repro.core.conditions import (
-    has_no_active_predecessors,
-    noncurrent_transactions,
-)
+from repro.core.conditions import noncurrent_transactions
 from repro.core.multiwrite_conditions import can_delete_multiwrite
 from repro.core.optimal import greedy_safe_deletion_set, maximum_safe_deletion_set
 from repro.core.predeclared_conditions import can_delete_predeclared
-from repro.model.status import TxnState
+from repro.graphs.bitclosure import iter_bits
 from repro.model.steps import TxnId
 
 __all__ = [
@@ -140,15 +137,18 @@ class Lemma1Policy(DeletionPolicy):
     completion_gated = True
 
     def select(self, scheduler, dirty=None) -> FrozenSet[TxnId]:
+        # Mask-native: one AND per committed bit against the maintained
+        # ancestor row, ids materialized only for the selected.  Walking
+        # the *committed* mask is the FINISHED exclusion (multiwrite F
+        # transactions are exactly completed - committed).
         graph = scheduler.graph
-        eligible = []
-        for txn in graph.completed_transactions():
-            info = graph.info(txn)
-            if info.state is TxnState.FINISHED:
-                continue  # multiwrite F transactions are not deletable
-            if has_no_active_predecessors(graph, txn):
-                eligible.append(txn)
-        return frozenset(eligible)
+        anc_row = graph.kernel.anc_row
+        active = graph.active_mask
+        chosen = 0
+        for index in iter_bits(graph.committed_mask):
+            if not anc_row(index) & active:
+                chosen |= 1 << index
+        return frozenset(graph.unmask(chosen))
 
 
 class NoncurrentPolicy(DeletionPolicy):

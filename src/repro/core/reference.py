@@ -134,8 +134,12 @@ def naive_accessors_of(
 def naive_noncurrent_transactions(
     currency: CurrencyTracker, graph: ReducedGraph
 ) -> FrozenSet[TxnId]:
-    """Corollary 1 selection via the per-transaction membership loop."""
-    current = currency.current_transactions()
+    """Corollary 1 selection by scanning every entity row and every
+    completed transaction — independent of the tracker's maintained
+    holdings and candidate set."""
+    current = set(currency.last_writer.values())
+    for readers in currency.readers_since_write.values():
+        current.update(readers)
     return frozenset(
         txn for txn in graph.completed_transactions() if txn not in current
     )

@@ -612,11 +612,20 @@ def currency_to_dict(tracker) -> Dict[str, Any]:
 
 
 def currency_from_dict(payload: Dict[str, Any]):
-    """Inverse of :func:`currency_to_dict`."""
+    """Inverse of :func:`currency_to_dict`.
+
+    Only the two per-entity rows are serialized; the tracker rebuilds
+    its per-transaction holdings from them, and the restoring scheduler
+    re-enters its graph's nodes (``SchedulerBase.restore_state``).
+    """
     from repro.tracking import CurrencyTracker
 
-    tracker = CurrencyTracker()
-    tracker.last_writer.update(payload.get("last_writer", {}))
-    for entity, readers in payload.get("readers_since_write", {}).items():
-        tracker.readers_since_write[entity] = set(readers)
-    return tracker
+    return CurrencyTracker(
+        last_writer=dict(payload.get("last_writer", {})),
+        readers_since_write={
+            entity: set(readers)
+            for entity, readers in payload.get(
+                "readers_since_write", {}
+            ).items()
+        },
+    )

@@ -49,6 +49,7 @@ class SchedulerBase(ABC):
         # from D(G, N)); by default it starts empty, like CG(λ) = E.
         self.graph: ReducedGraph = graph if graph is not None else ReducedGraph()
         self.currency = CurrencyTracker()
+        self._enter_residents()  # a seeded graph's nodes hold nothing yet
         self._input_log: List[Step] = []
         self._results: List[StepResult] = []
         self._aborted: Set[TxnId] = set()
@@ -133,6 +134,7 @@ class SchedulerBase(ABC):
         are responsible for checking the governing safety condition first.
         """
         self.graph.delete(txn)
+        self.currency.on_leave(txn)
 
     def delete_transactions(self, txns: Iterable[TxnId]) -> None:
         for txn in txns:
@@ -180,6 +182,7 @@ class SchedulerBase(ABC):
         try:
             self.graph = graph_from_dict(payload["graph"])
             self.currency = currency_from_dict(payload["currency"])
+            self._enter_residents()
             self._input_log = [step_from_dict(d) for d in payload["input_log"]]
             self._results = [
                 step_result_from_dict(d) for d in payload["results"]
@@ -232,6 +235,8 @@ class SchedulerBase(ABC):
         """
         txn_set = set(txns)
         entity_set = set(entities)
+        for txn in txn_set:
+            self.currency.on_leave(txn)  # residency moves with the nodes
         return {
             "graph": self.graph.extract_subgraph(txn_set),
             "currency": self.currency.extract(entity_set),
@@ -242,6 +247,8 @@ class SchedulerBase(ABC):
         """Install a group extracted from another scheduler of this type."""
         self.graph.install_subgraph(payload["graph"])
         self.currency.absorb(payload["currency"])
+        for info in payload["graph"]["infos"]:
+            self.currency.on_enter(info.txn)
         self._absorb_extra_group(payload["extra"])
 
     def _extract_extra_group(
@@ -259,6 +266,12 @@ class SchedulerBase(ABC):
             )
 
     # -- shared helpers for subclasses -------------------------------------------
+
+    def _enter_residents(self) -> None:
+        """Tell a fresh tracker which transactions the graph holds (a
+        seeded graph, a restored snapshot): residency is derived state."""
+        for txn in self.graph:
+            self.currency.on_enter(txn)
 
     def _require_known_active(self, txn: TxnId) -> None:
         if txn not in self.graph:

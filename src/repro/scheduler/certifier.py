@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.conditions import noncurrent_transactions
 from repro.core.reduced_graph import ReducedGraph
 from repro.errors import InvalidStepError, SchedulerError
 from repro.model.entities import Entity
@@ -132,6 +133,9 @@ class Certifier(SchedulerBase):
             self.graph.add_arc(tail, head)
         for entity in step.entities:
             self.currency.on_write(step.txn, entity)
+        # Resident from certification on: a running transaction holds its
+        # reads while absent from the graph.
+        self.currency.on_enter(step.txn)
         self._cert_time[step.txn] = self._clock
         del self._running[step.txn]
         return StepResult(
@@ -214,10 +218,7 @@ class Certifier(SchedulerBase):
         writer preserves every future cycle, so removal is safe even though
         the certifier cannot see active transactions.
         """
-        current = self.currency.current_transactions()
-        return frozenset(
-            txn for txn in self.graph.completed_transactions() if txn not in current
-        )
+        return noncurrent_transactions(self.currency, self.graph)
 
     def running_transactions(self) -> frozenset:
         return frozenset(self._running)

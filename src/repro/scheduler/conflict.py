@@ -77,6 +77,7 @@ class ConflictGraphScheduler(SchedulerBase):
 
     def _on_begin(self, step: Begin) -> StepResult:
         self.graph.add_transaction(step.txn, TxnState.ACTIVE)
+        self.currency.on_enter(step.txn)
         return StepResult(step, Decision.ACCEPTED)
 
     # -- Rule 2 -----------------------------------------------------------------

@@ -121,6 +121,7 @@ class MultiwriteScheduler(SchedulerBase):
 
     def _on_begin(self, step: Begin) -> StepResult:
         self.graph.add_transaction(step.txn, TxnState.ACTIVE)
+        self.currency.on_enter(step.txn)
         return StepResult(step, Decision.ACCEPTED)
 
     def _on_read(self, step: Read) -> StepResult:

@@ -153,6 +153,7 @@ class PredeclaredScheduler(SchedulerBase):
     def _on_begin(self, step: BeginDeclared) -> StepResult:
         declared = dict(step.declared)
         self.graph.add_transaction(step.txn, TxnState.ACTIVE, declared=declared)
+        self.currency.on_enter(step.txn)
         self._pending[step.txn] = deque()
         # Rule 1' arcs via the entity index: a declared WRITE conflicts with
         # every executed access of the entity, a declared READ only with
