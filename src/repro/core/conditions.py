@@ -177,9 +177,19 @@ def noncurrent_transactions(
     ones holding nothing — independent of how many completed
     transactions the graph retains.  A pure query: a candidate leaves
     the tracker's set when it leaves the graph, not when it is returned.
+
+    **Precondition:** *currency* must have been told *graph*'s membership
+    through :meth:`~CurrencyTracker.on_enter` /
+    :meth:`~CurrencyTracker.on_leave` — every scheduler does this for its
+    own tracker, including after a restore or a migration.  A tracker fed
+    only ``on_read``/``on_write`` beside an independently built graph has
+    no resident transactions, so this returns ``frozenset()`` even where
+    :func:`is_noncurrent` (which needs no residency) answers ``True``;
+    ``core.reference.naive_noncurrent_transactions`` is the scan that
+    needs neither.
     """
     return frozenset(
         txn
-        for txn in currency.idle_transactions()
+        for txn in currency.iter_idle()
         if txn in graph and graph.is_completed(txn)
     )

@@ -97,6 +97,8 @@ SNAPSHOT_FORMAT = 1
 SHARDED_SNAPSHOT_FORMAT = 1
 SHARDED_SNAPSHOT_KIND = "sharded-engine"
 
+_BEGIN_STEPS = (Begin, BeginDeclared)
+
 #: Observer hook names, in firing order within one step.
 _HOOK_NAMES = (
     "on_step",
@@ -300,12 +302,14 @@ class StatsObserver(EngineObserver):
         # matching the legacy GarbageCollectedScheduler semantics.  The
         # completed count comes from the maintained state mask (one
         # bit_count), not a per-step frozenset materialization.
-        graph = engine.graph
-        if len(graph) > self.stats.peak_graph_size:
-            self.stats.peak_graph_size = len(graph)
+        graph = engine.scheduler.graph
+        stats = self.stats
+        size = len(graph)
+        if size > stats.peak_graph_size:
+            stats.peak_graph_size = size
         completed = graph.completed_count()
-        if completed > self.stats.peak_retained_completed:
-            self.stats.peak_retained_completed = completed
+        if completed > stats.peak_retained_completed:
+            stats.peak_retained_completed = completed
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +549,9 @@ class Engine:
         self._gate_open = True
         events = getattr(self.policy, "dirty_events", None)
         self._dirty_tracker = DirtyTracker(events) if events else None
+        self._completion_gated = bool(
+            getattr(self.policy, "completion_gated", False)
+        )
 
     # -- observers ---------------------------------------------------------------
 
@@ -580,41 +587,47 @@ class Engine:
                     hooks[name].append(handler)
         self._hooks = hooks
 
-    def _emit(self, hook: str, *args: Any) -> None:
-        handlers = self._hooks[hook]
-        if not handlers:
-            return
-        for handler in handlers:
-            handler(self, *args)
-
     # -- the §4 loop -------------------------------------------------------------
 
     def feed(self, step: Step) -> StepResult:
-        """Apply F to the current graph; sweep when the cadence is due."""
-        self._bind_policy()
-        if self._dirty_tracker is not None:
+        """Apply F to the current graph; sweep when the cadence is due.
+
+        This is the per-step floor under every policy, so nothing here is
+        a helper call: the policy binding is the identity test of
+        :meth:`_bind_policy`, and a hook is a loop over its handler list
+        (read from ``self._hooks`` each time, so a handler that subscribes
+        an observer takes effect at the next hook).
+        """
+        if self._gate_policy is not self.policy:
+            self._bind_policy()
+        scheduler = self.scheduler
+        tracker = self._dirty_tracker
+        if tracker is not None:
             # Asserted per step (not per bind) because restore_state can
             # swap the graph object underneath us; an attribute check +
             # set is nanoseconds next to the step itself.
-            self.scheduler.graph.enable_abort_impact()
-        result = self.scheduler.feed(step)
+            scheduler.graph.enable_abort_impact()
+        result = scheduler.feed(step)
         self._step_index += 1
         self._steps_since_sweep += 1
         if (
-            result.accepted
-            and isinstance(step, (Begin, BeginDeclared))
+            result.decision is Decision.ACCEPTED
+            and isinstance(step, _BEGIN_STEPS)
             and step.txn not in self._accept_pos
         ):
             self._accept_pos[step.txn] = self._step_index
         if result.committed or result.aborted:
             self._gate_open = True
-        if self._dirty_tracker is not None:
-            self._dirty_tracker.observe(self.scheduler.graph, result)
-        self._emit("on_step", result)
+        if tracker is not None:
+            tracker.observe(scheduler.graph, result)
+        for handler in self._hooks["on_step"]:
+            handler(self, result)
         if result.aborted:
-            self._emit("on_abort", result, result.aborted)
+            for handler in self._hooks["on_abort"]:
+                handler(self, result, result.aborted)
         if result.committed:
-            self._emit("on_commit", result, result.committed)
+            for handler in self._hooks["on_commit"]:
+                handler(self, result, result.committed)
         if self._steps_since_sweep >= self.sweep_interval:
             if self.skip_clean_sweeps and self._sweep_is_clean():
                 # Nothing a policy could newly select: skip the invocation
@@ -623,7 +636,8 @@ class Engine:
                 self._sweeps_skipped += 1
             else:
                 self.sweep()
-        self._emit("on_step_end", result)
+        for handler in self._hooks["on_step_end"]:
+            handler(self, result)
         return result
 
     def _sweep_is_clean(self) -> bool:
@@ -636,9 +650,7 @@ class Engine:
         """
         if self._dirty_tracker is not None:
             return self._dirty_tracker.is_empty
-        if getattr(self.policy, "completion_gated", False):
-            return not self._gate_open
-        return False
+        return self._completion_gated and not self._gate_open
 
     def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
         """Feed steps lazily; returns the per-step results."""
@@ -689,7 +701,8 @@ class Engine:
         an explicit call always invokes the policy (no skip), with the
         dirty set when the policy declares it consumes one.
         """
-        self._bind_policy()
+        if self._gate_policy is not self.policy:
+            self._bind_policy()
         if self._dirty_tracker is not None:
             dirty = self._dirty_tracker.snapshot()
             selected = self.policy.select(self.scheduler, dirty=dirty)
@@ -699,7 +712,7 @@ class Engine:
         self._gate_open = False
         self._sweeps_run += 1
         self._steps_since_sweep = 0
-        ordered = tuple(sorted(selected))
+        ordered = tuple(sorted(selected)) if selected else ()
         if ordered:
             if self.verify_c2 and not can_delete_set(
                 self.scheduler.graph, selected
@@ -711,8 +724,11 @@ class Engine:
             self.scheduler.delete_transactions(ordered)
             for txn in ordered:
                 self._deletion_ticks[txn] = self._step_index
-            self._emit("on_delete", ordered, self._step_index)
-        self._emit("on_sweep", SweepReport(self._sweeps_run, self._step_index, ordered))
+            for handler in self._hooks["on_delete"]:
+                handler(self, ordered, self._step_index)
+        report = SweepReport(self._sweeps_run, self._step_index, ordered)
+        for handler in self._hooks["on_sweep"]:
+            handler(self, report)
         return frozenset(selected)
 
     def note_migration_in(self, txns: Iterable[TxnId]) -> None:

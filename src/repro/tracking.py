@@ -20,7 +20,7 @@ transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
 
 from repro.model.entities import Entity
 from repro.model.steps import TxnId
@@ -126,13 +126,15 @@ class CurrencyTracker:
     def _release(self, entity: Entity, keep: Optional[TxnId] = None) -> None:
         """Every holder of *entity*'s current value except *keep* loses it
         (the value is being overwritten, or its rows are migrating)."""
-        holders = set(self.readers_since_write.get(entity, ()))
+        # ``_lose`` never touches the rows, so the reader set is walked in
+        # place; the writer is handled apart unless it also read the value.
+        readers = self.readers_since_write.get(entity, ())
+        for reader in readers:
+            if reader != keep:
+                self._lose(reader, entity)
         writer = self.last_writer.get(entity)
-        if writer is not None:
-            holders.add(writer)
-        holders.discard(keep)
-        for holder in holders:
-            self._lose(holder, entity)
+        if writer is not None and writer != keep and writer not in readers:
+            self._lose(writer, entity)
 
     def _gain(self, txn: TxnId, entity: Entity) -> None:
         held = self._holds.get(txn)
@@ -209,5 +211,15 @@ class CurrencyTracker:
 
     def idle_transactions(self) -> FrozenSet[TxnId]:
         """Resident transactions holding no current value — Corollary 1's
-        candidates, completed or not.  A pure view."""
+        candidates, completed or not.  A pure view.
+
+        *Resident* is what the scheduler reported through
+        :meth:`on_enter`/:meth:`on_leave`: a tracker fed accesses only,
+        beside a graph it was never told about, has no candidates.
+        """
         return frozenset(self._idle)
+
+    def iter_idle(self) -> Iterator[TxnId]:
+        """:meth:`idle_transactions` without the copy, for the sweep path;
+        do not tell the tracker anything while iterating."""
+        return iter(self._idle)

@@ -37,11 +37,13 @@ import pytest
 
 from repro.core.conditions import is_noncurrent, noncurrent_transactions
 from repro.core.policies import NoncurrentPolicy
+from repro.core.reduced_graph import ReducedGraph
 from repro.core.reference import naive_noncurrent_transactions
 from repro.durability import DurableEngine, recover
 from repro.engine import Engine, ShardedEngine
 from repro.graphs.bitclosure import BitClosureGraph
 from repro.io import currency_to_dict, engine_snapshot_to_json
+from repro.model.status import TxnState
 from repro.model.steps import Begin, Finish, Read, Write, WriteItem
 from repro.registry import create_scheduler
 from repro.scheduler.conflict import ConflictGraphScheduler
@@ -503,6 +505,40 @@ class TestTraps:
             {"A2", "A3"}
         )
         assert _assert_in_lockstep(target) == frozenset({"A1"})
+
+    def test_a_tracker_never_told_residency_has_no_candidates(self):
+        """The selection's precondition, pinned: a hand-built tracker fed
+        accesses only, beside a graph it was never told about, selects
+        nothing — while the per-transaction test and the scan, which need
+        no residency, still say T1 is noncurrent.  Telling the tracker
+        (as every scheduler does) closes the gap."""
+        tracker = CurrencyTracker()
+        tracker.on_write("T1", "x")
+        tracker.on_write("T2", "x")  # T1 lapses
+        graph = ReducedGraph()
+        for txn in ("T1", "T2"):
+            graph.add_transaction(txn, TxnState.COMMITTED)
+        assert is_noncurrent(tracker, graph, "T1")
+        assert naive_noncurrent_transactions(tracker, graph) == {"T1"}
+        assert noncurrent_transactions(tracker, graph) == frozenset()
+        for txn in graph:
+            tracker.on_enter(txn)
+        assert noncurrent_transactions(tracker, graph) == {"T1"}
+
+    def test_an_overwritten_writer_that_also_read_its_value_lapses_once(self):
+        """``_release`` walks the reader row in place and the writer apart:
+        a transaction in both loses the entity exactly once."""
+        tracker = CurrencyTracker()
+        for txn in ("T1", "T2"):
+            tracker.on_enter(txn)
+        tracker.on_write("T1", "x")
+        tracker.on_read("T1", "x")
+        tracker.on_read("T1", "y")
+        tracker.on_write("T2", "x")
+        assert tracker.is_current("T1")  # still reads y
+        tracker.on_write("T2", "y")
+        assert tracker.idle_transactions() == {"T1"}
+        assert tracker.current_transactions() == {"T2"}
 
     def test_serialized_rows_are_unchanged_from_the_parent_commit(self):
         """(g) holdings, residency and candidates are derived state:

@@ -321,7 +321,7 @@ class TestStats:
 
 
 class TestHookDispatchLists:
-    """The _emit fast path: hooks nobody overrides are never dispatched."""
+    """The dispatch fast path: hooks nobody overrides are never dispatched."""
 
     def test_unoverridden_hooks_have_empty_handler_lists(self):
         engine = Engine(scheduler="conflict-graph", policy="never")

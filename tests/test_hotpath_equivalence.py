@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.core.conditions import has_no_active_predecessors
 from repro.core.policies import (
     EagerC1Policy,
     EagerC3Policy,
@@ -43,7 +44,7 @@ from repro.core.reference import (
 from repro.engine import Engine
 from repro.errors import GraphError
 from repro.io import graph_to_dict
-from repro.model.status import AccessMode
+from repro.model.status import AccessMode, TxnState
 from repro.registry import create_policy, create_scheduler
 from repro.workloads.generator import (
     WorkloadConfig,
@@ -141,6 +142,38 @@ class TestQueryEquivalence:
                 assert policy.select(scheduler) == naive_noncurrent_transactions(
                     scheduler.currency, scheduler.graph
                 )
+
+    @pytest.mark.parametrize("scheduler_name,stream_factory", GRAPH_CASES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lemma1_matches_the_per_id_formulation(
+        self, scheduler_name, stream_factory, seed
+    ):
+        """The mask-native walk over ``committed_mask`` selects, after every
+        step, exactly what the per-id test selects: completed, not
+        FINISHED, no active predecessors.  Multiwrite is where FINISHED
+        bites, so the stream must retain some."""
+        scheduler = create_scheduler(scheduler_name)
+        policy = Lemma1Policy()
+        saw_finished = deleted = 0
+        for index, step in enumerate(stream_factory(_config(seed)), start=1):
+            scheduler.feed(step)
+            graph = scheduler.graph
+            finished = {
+                t for t in graph.completed_transactions()
+                if graph.state(t) is TxnState.FINISHED
+            }
+            saw_finished += len(finished)
+            expected = frozenset(
+                t for t in graph.completed_transactions()
+                if t not in finished and has_no_active_predecessors(graph, t)
+            )
+            assert policy.select(scheduler) == expected
+            if index % 4 == 0:  # later steps see contracted graphs too
+                scheduler.delete_transactions(sorted(expected))
+                deleted += len(expected)
+        assert deleted > 0
+        if scheduler_name == "multiwrite":
+            assert saw_finished > 0
 
     @pytest.mark.parametrize("scheduler_name,stream_factory", GRAPH_CASES)
     def test_aborts_keep_closure_invariants(self, scheduler_name, stream_factory):
