@@ -171,7 +171,6 @@ from repro.faults import FaultPlan, FaultSpec, FaultyIO, InjectedFault, StorageI
 from repro.server import ReproServer
 from repro.client import AsyncServingClient, ServingClient
 from repro.analysis.runner import MetricsObserver
-from repro.manager import GarbageCollectedScheduler
 from repro.io import (
     graph_from_json,
     graph_to_json,
@@ -307,7 +306,6 @@ __all__ = [
     "check_multiwrite_divergence",
     "check_predeclared_divergence",
     "bounded_safety_check",
-    "GarbageCollectedScheduler",
     "GcStats",
     "graph_to_json",
     "graph_from_json",

@@ -58,6 +58,7 @@ from repro import registry as _registry
 from repro.analysis.report import ascii_table, format_series, rows_from_summaries
 from repro.analysis.runner import run_with_policy
 from repro.analysis.visualize import render_ascii, render_dot
+from repro.durability import DEFAULT_CHECKPOINT_INTERVAL
 from repro.engine import Engine, EngineConfig, ShardedEngine, build_engine
 from repro.errors import EngineError, RegistryError, SchedulerError
 from repro.io import graph_to_json
@@ -121,7 +122,8 @@ def _add_engine_args(parser: argparse.ArgumentParser,
         parser.add_argument("--wal-dir", default=None,
                             help="write-ahead log directory: makes the run "
                                  "crash-safe (recover with 'repro recover')")
-        parser.add_argument("--checkpoint-interval", type=int, default=64,
+        parser.add_argument("--checkpoint-interval", type=int,
+                            default=DEFAULT_CHECKPOINT_INTERVAL,
                             help="take an incremental checkpoint every N "
                                  "WAL records (0 = never; only with "
                                  "--wal-dir)")

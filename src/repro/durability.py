@@ -16,13 +16,14 @@ its *prefix* becomes deletable the moment a checkpoint covers it.  Here:
   stream.  Out-of-loop mutations (explicit sweeps, batch flushes) are
   logged as *control* records so replay reproduces them too.
 * **Incremental checkpoints** — every ``checkpoint_interval`` records the
-  engine's :meth:`snapshot` *core* (graph kernel, currency, counters —
-  ``include_logs=False``) is written atomically (tmp file + fsync +
-  ``os.replace``), together with a **delta** of the history-sized
-  sections (step results, deletion ids) accumulated since the previous
-  checkpoint.  Per-checkpoint cost is O(live state + interval), not
-  O(history) — checkpoints stay cheap forever, which is what makes a
-  small interval affordable (benchmarked in E17).
+  engine's history-free *core* (``snapshot(include_logs=False)``) is
+  written atomically (tmp file + fsync + ``os.replace``) together with a
+  **delta**, its ``history_since`` the previous checkpoint.  What counts
+  as history is the engine's business (the history protocol in
+  :mod:`repro.engine`): this module stores marks, cores and deltas and
+  never looks inside them.  Per-checkpoint cost is O(live state +
+  interval), not O(history) — checkpoints stay cheap forever, which is
+  what makes a small interval affordable (benchmarked in E17).
 * **Truncation** — segments are grouped into *epochs* that roll at each
   checkpoint; once the checkpoint is durably on disk every segment of an
   older epoch is covered by it and deleted.  The WAL's steady-state
@@ -60,16 +61,10 @@ import fcntl
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine import (
-    BatchResult,
-    EngineConfig,
-    EngineObserver,
-    ShardedEngine,
-    build_engine,
-)
+from repro.engine import BatchFacade, EngineConfig, EngineObserver, build_engine
 from repro.errors import (
     DurabilityError,
     ModelError,
@@ -82,17 +77,17 @@ from repro.faults import StorageIO
 from repro.io import (
     atomic_write_json,
     restore_engine,
-    step_result_to_dict,
-    step_to_dict,
     wal_record_from_line,
     wal_record_to_line,
 )
 from repro.model.steps import Step
-from repro.scheduler.events import Decision, StepResult
+from repro.scheduler.events import StepResult
 
 __all__ = [
     "MANIFEST_FORMAT",
     "CHECKPOINT_FORMAT",
+    "DEFAULT_CHECKPOINT_INTERVAL",
+    "DEFAULT_SYNC",
     "DurableEngine",
     "RecoveryInfo",
     "recover",
@@ -113,6 +108,11 @@ _ROUTER_STREAM = "router"
 LOCK_NAME = "LOCK"
 
 _SYNC_MODES = ("checkpoint", "always")
+
+#: What a directory is opened with when the caller (and, on a resume, the
+#: manifest) names no cadence or sync mode.
+DEFAULT_CHECKPOINT_INTERVAL = 64
+DEFAULT_SYNC = "checkpoint"
 
 #: Shared passthrough shim — every engine without an explicit ``io``
 #: routes storage calls through this (one method hop, no allocation).
@@ -288,67 +288,6 @@ class _WalWriter:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint core/delta surgery
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Cursors:
-    """How much of each history-sized list previous checkpoints cover.
-
-    The input log is tracked separately from the result log: a step whose
-    processing *raised* is recorded in the scheduler's input log but
-    produces no result, so the input log cannot be derived from the
-    results.
-    """
-
-    results: int = 0
-    inputs: int = 0
-    deleted: int = 0
-    shard_results: List[int] = field(default_factory=list)
-    shard_inputs: List[int] = field(default_factory=list)
-    shard_deleted: List[int] = field(default_factory=list)
-
-
-def _strip_engine_core(core: Dict[str, Any]) -> None:
-    """Drop the history-sized sections an Engine core still carries.
-
-    ``snapshot(include_logs=False)`` already omitted the scheduler logs;
-    the graph's deleted-id tombstone list and the stats' ordered deletion
-    log also grow with history and are reconstructed from the delta chain
-    at recovery, so checkpoints stay O(live state + interval).
-    """
-    core["scheduler_state"]["graph"].pop("deleted", None)
-    core["stats"].pop("deleted_ids", None)
-
-
-def _splice_engine_core(
-    core: Dict[str, Any],
-    results: List[Dict[str, Any]],
-    inputs: List[Dict[str, Any]],
-    deleted: List[Any],
-) -> None:
-    """Inverse of :func:`_strip_engine_core` + ``include_logs=False``."""
-    state = core["scheduler_state"]
-    log_len = state.pop("log_len", None)
-    if log_len is not None and log_len != len(results):
-        raise RecoveryError(
-            f"checkpoint core expects {log_len} scheduler log entries but "
-            f"the delta chain reconstructs {len(results)}"
-        )
-    input_len = state.pop("input_len", None)
-    if input_len is not None and input_len != len(inputs):
-        raise RecoveryError(
-            f"checkpoint core expects {input_len} input-log entries but "
-            f"the delta chain reconstructs {len(inputs)}"
-        )
-    state["results"] = results
-    state["input_log"] = inputs
-    state["graph"]["deleted"] = sorted(deleted)
-    core["stats"]["deleted_ids"] = list(deleted)
-
-
-# ---------------------------------------------------------------------------
 # Recovery report
 # ---------------------------------------------------------------------------
 
@@ -380,8 +319,8 @@ class RecoveryInfo:
 # ---------------------------------------------------------------------------
 
 
-class DurableEngine:
-    """A crash-safe wrapper around :class:`Engine` / :class:`ShardedEngine`.
+class DurableEngine(BatchFacade):
+    """A crash-safe wrapper around whatever :func:`build_engine` builds.
 
     Every fed step is WAL-appended before it is applied; a checkpoint is
     taken every *checkpoint_interval* records (0 disables the cadence —
@@ -389,7 +328,9 @@ class DurableEngine:
     to resume from a crashed ``wal_dir``.  Read-only views (``stats``,
     ``graph``, ``accepted_subschedule`` …) delegate to the wrapped engine
     (also reachable as :attr:`engine`); state mutations must go through
-    this wrapper, or they will not survive a crash.
+    this wrapper, or they will not survive a crash.  The wrapper knows
+    the engine by its façade and history protocol only: ``shard_count``
+    decides nothing but which WAL stream a record lands in.
     """
 
     def __init__(
@@ -398,8 +339,8 @@ class DurableEngine:
         *,
         wal_dir,
         shards: int = 1,
-        checkpoint_interval: int = 64,
-        sync: str = "checkpoint",
+        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        sync: str = DEFAULT_SYNC,
         observers: Iterable[EngineObserver] = (),
         io: Optional[StorageIO] = None,
         **overrides: Any,
@@ -437,16 +378,6 @@ class DurableEngine:
 
     # -- construction plumbing ---------------------------------------------------
 
-    @staticmethod
-    def _fresh_cursors(inner) -> _Cursors:
-        if isinstance(inner, ShardedEngine):
-            return _Cursors(
-                shard_results=[0] * inner.shard_count,
-                shard_inputs=[0] * inner.shard_count,
-                shard_deleted=[0] * inner.shard_count,
-            )
-        return _Cursors()
-
     def _init_common(
         self,
         inner,
@@ -468,10 +399,13 @@ class DurableEngine:
         current chain."""
         chain = tail.chain if tail is not None else None
         self._inner = inner
-        self._sharded = isinstance(inner, ShardedEngine)
         self.wal_dir = wal_path
         self.config = config
         self.shard_count = shards
+        #: The WAL stream of every record no shard owns: all of a
+        #: monolith's, and what a router answers itself (deferred BEGINs,
+        #: post-abort traffic, control records).
+        self._own_stream = _ENGINE_STREAM if shards == 1 else _ROUTER_STREAM
         self.checkpoint_interval = checkpoint_interval
         self.sync = sync
         self._seq = tail.applied_seq if tail is not None else 0
@@ -481,7 +415,11 @@ class DurableEngine:
         #: lets the *next* checkpoint demote it without a disk read.
         #: None on a resumed engine (its latest link lives on disk only).
         self._last_checkpoint_payload: Optional[Dict[str, Any]] = None
-        self._cursors = chain.cursors if chain else self._fresh_cursors(inner)
+        #: How much of the engine's history the chain on disk covers.
+        #: Advanced only once a checkpoint is durably published: a failed
+        #: write leaves the engine usable and the next checkpoint must
+        #: carry the same tail again.
+        self._marks = chain.marks if chain else inner.history_marks()
         self.recovery_info = recovery_info
         self._closed = False
         self._poisoned = False
@@ -532,9 +470,13 @@ class DurableEngine:
         :meth:`_init_common`); cadence and sync default to the
         manifest's, *observers* attach after the replay."""
         if checkpoint_interval is None:
-            checkpoint_interval = int(tail.manifest.get("checkpoint_interval", 64))
+            checkpoint_interval = int(
+                tail.manifest.get(
+                    "checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL
+                )
+            )
         if sync is None:
-            sync = str(tail.manifest.get("sync", "checkpoint"))
+            sync = str(tail.manifest.get("sync", DEFAULT_SYNC))
         engine = cls.__new__(cls)
         engine._init_common(
             inner,
@@ -556,7 +498,7 @@ class DurableEngine:
 
     @property
     def engine(self):
-        """The wrapped :class:`Engine` or :class:`ShardedEngine`."""
+        """The wrapped in-memory engine."""
         return self._inner
 
     @property
@@ -596,14 +538,13 @@ class DurableEngine:
             )
 
     def _stream_for(self, step: Step) -> str:
-        if not self._sharded:
-            return _ENGINE_STREAM
-        # peek (no path compression!) so the WAL never perturbs the
-        # router's forest relative to an un-instrumented run.
-        shard = self._inner.router.peek_shard_of_txn(step.txn)
-        if shard is None:
-            return _ROUTER_STREAM
-        return f"shard{shard:02d}"
+        if self.shard_count > 1:
+            # peek (no path compression!) so the WAL never perturbs the
+            # router's forest relative to an un-instrumented run.
+            shard = self._inner.router.peek_shard_of_txn(step.txn)
+            if shard is not None:
+                return f"shard{shard:02d}"
+        return self._own_stream
 
     def feed(self, step: Step) -> StepResult:
         """WAL-append *step*, apply it, checkpoint when the cadence is due."""
@@ -625,12 +566,16 @@ class DurableEngine:
             self._poisoned = True
             raise
 
-    def _log_control(self, op: str) -> None:
+    def _control(self, op: str, apply):
+        """One out-of-loop mutation: WAL-log *op* so replay reproduces
+        it, apply it, checkpoint when the cadence is due."""
         self._require_open()
         seq = self._seq + 1
-        stream = _ROUTER_STREAM if self._sharded else _ENGINE_STREAM
-        self._append(stream, wal_record_to_line(seq, control=op))
+        self._append(self._own_stream, wal_record_to_line(seq, control=op))
         self._seq = seq
+        outcome = apply()
+        self._maybe_checkpoint()
+        return outcome
 
     def _maybe_checkpoint(self) -> None:
         if (
@@ -639,86 +584,27 @@ class DurableEngine:
         ):
             self.checkpoint()
 
+    # Every mutation the engines offer outside the per-step loop is
+    # intercepted (instead of falling through ``__getattr__``): applied
+    # with no WAL record, a crash right after would replay to a
+    # different engine.
+
     def sweep(self):
-        """Explicit policy sweep, logged so replay reproduces it."""
-        self._log_control("sweep")
-        selected = self._inner.sweep()
-        self._maybe_checkpoint()
-        return selected
+        """Explicit policy sweep, logged."""
+        return self._control("sweep", self._inner.sweep)
 
     def flush_pending(self) -> int:
-        """Materialize deferred BEGINs (sharded engines), logged."""
-        if not self._sharded:
-            raise AttributeError(
-                "flush_pending is only meaningful on sharded engines"
-            )
-        self._log_control("flush_pending")
-        flushed = self._inner.flush_pending()
-        self._maybe_checkpoint()
-        return flushed
+        """Materialize deferred BEGINs, logged (a monolith defers none:
+        its record replays as the no-op it was)."""
+        return self._control("flush_pending", self._inner.flush_pending)
 
     def flush(self) -> None:
         """The ``feed_batch(flush=True)`` epilogue, logged: pending BEGINs
         are materialized and every shard (or the engine) with steps since
         its last sweep is swept."""
-        self._log_control("flush")
-        _apply_flush(self._inner, self._sharded)
-        self._maybe_checkpoint()
+        self._control("flush", self._inner.flush)
 
-    def flush_and_sweep(self) -> None:
-        """Logged alias of :meth:`ShardedEngine.flush_and_sweep`.
-
-        Intercepted here (instead of falling through ``__getattr__``)
-        because the un-wrapped method would mutate shard state with no
-        WAL record — a crash right after would replay to a different
-        engine.
-        """
-        if not self._sharded:
-            raise AttributeError(
-                "flush_and_sweep is only meaningful on sharded engines"
-            )
-        self.flush()
-
-    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
-        return [self.feed(step) for step in steps]
-
-    def feed_batch(
-        self, steps: Iterable[Step], *, flush: bool = False
-    ) -> BatchResult:
-        """Feed a whole iterable through the WAL; aggregate the outcome."""
-        results: List[StepResult] = []
-        counts = {decision: 0 for decision in Decision}
-        aborted: List[Any] = []
-        committed: List[Any] = []
-        deleted_log = self._deleted_log()
-        deleted_start = len(deleted_log)
-        sweeps_start = self._inner.sweeps_run
-        for step in steps:
-            result = self.feed(step)
-            results.append(result)
-            counts[result.decision] += 1
-            aborted.extend(result.aborted)
-            committed.extend(result.committed)
-        if flush:
-            self.flush()
-        return BatchResult(
-            steps_fed=len(results),
-            accepted=counts[Decision.ACCEPTED],
-            rejected=counts[Decision.REJECTED],
-            delayed=counts[Decision.DELAYED],
-            ignored=counts[Decision.IGNORED],
-            aborted=tuple(aborted),
-            committed=tuple(committed),
-            deleted=tuple(deleted_log[deleted_start:]),
-            sweeps=self._inner.sweeps_run - sweeps_start,
-            results=tuple(results),
-        )
-
-    def _deleted_log(self) -> List[Any]:
-        """The engine's ordered deletion log (a live list)."""
-        if self._sharded:
-            return self._inner._deleted_ids
-        return self._inner.stats.deleted_ids
+    flush_and_sweep = flush  # the epilogue's older name, still logged
 
     # -- checkpoints ---------------------------------------------------------------
 
@@ -735,81 +621,15 @@ class DurableEngine:
             return None
         inner = self._inner
         core = inner.snapshot(include_logs=False)
-        if self._sharded:
-            shard_engines = inner.shards
-            delta = {
-                "results": [
-                    step_result_to_dict(r)
-                    for r in inner._results[self._cursors.results :]
-                ],
-                "deleted": list(inner._deleted_ids[self._cursors.deleted :]),
-                "shard_results": [
-                    [
-                        step_result_to_dict(r)
-                        for r in engine.scheduler._results[cursor:]
-                    ]
-                    for engine, cursor in zip(
-                        shard_engines, self._cursors.shard_results
-                    )
-                ],
-                "shard_input": [
-                    [
-                        step_to_dict(s)
-                        for s in engine.scheduler._input_log[cursor:]
-                    ]
-                    for engine, cursor in zip(
-                        shard_engines, self._cursors.shard_inputs
-                    )
-                ],
-                "shard_deleted": [
-                    list(engine.stats.deleted_ids[cursor:])
-                    for engine, cursor in zip(
-                        shard_engines, self._cursors.shard_deleted
-                    )
-                ],
-            }
-            new_cursors = _Cursors(
-                results=len(inner._results),
-                deleted=len(inner._deleted_ids),
-                shard_results=[
-                    len(e.scheduler._results) for e in shard_engines
-                ],
-                shard_inputs=[
-                    len(e.scheduler._input_log) for e in shard_engines
-                ],
-                shard_deleted=[
-                    len(e.stats.deleted_ids) for e in shard_engines
-                ],
-            )
-            for shard_core in core["shards"]:
-                _strip_engine_core(shard_core)
-        else:
-            delta = {
-                "results": [
-                    step_result_to_dict(r)
-                    for r in inner.scheduler._results[self._cursors.results :]
-                ],
-                "input": [
-                    step_to_dict(s)
-                    for s in inner.scheduler._input_log[self._cursors.inputs :]
-                ],
-                "deleted": list(
-                    inner.stats.deleted_ids[self._cursors.deleted :]
-                ),
-            }
-            new_cursors = _Cursors(
-                results=len(inner.scheduler._results),
-                inputs=len(inner.scheduler._input_log),
-                deleted=len(inner.stats.deleted_ids),
-            )
-            _strip_engine_core(core)
+        delta = inner.history_since(self._marks)
+        marks = inner.history_marks()
         payload = {
             "format": CHECKPOINT_FORMAT,
             "kind": CHECKPOINT_KIND,
             "seq": seq,
             "prev_seq": self._last_checkpoint_seq,
             "epoch": self._wal.epoch,
-            "sharded": self._sharded,
+            "sharded": self.shard_count > 1,
             "core": core,
             "delta": delta,
         }
@@ -838,7 +658,7 @@ class DurableEngine:
         payload.pop("core")
         payload["core_stripped"] = True
         self._last_checkpoint_payload = payload
-        self._cursors = new_cursors
+        self._marks = marks
         self._last_checkpoint_seq = seq
         self._wal.roll(self._wal.epoch + 1)
         self._wal.truncate_before(self._wal.epoch)
@@ -903,13 +723,6 @@ class DurableEngine:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def _apply_flush(inner, sharded: bool) -> None:
-    if sharded:
-        inner.flush_and_sweep()
-    elif inner.steps_since_sweep:
-        inner.sweep()
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +835,10 @@ class _ChainState:
     checkpoint_seq: int
     epoch: int  # next WAL epoch hint (latest checkpoint's + 1, or 0)
     inner: Any  # restored engine (or a fresh build when no chain)
-    cursors: _Cursors
+    #: What the chain covers: the restored engine's history marks, taken
+    #: before any tail record is applied.  Data, not an instance's cursor
+    #: — promote() resumes a *warm* engine on an independent restore's.
+    marks: Dict[str, Any]
     latest_path: Optional[pathlib.Path]
 
 
@@ -1031,84 +847,22 @@ def _restore_from_chain(
 ) -> _ChainState:
     """Load + validate the checkpoint chain and restore an engine from it.
 
-    Raises :class:`~repro.errors.RecoveryError` on any chain damage; an
-    empty chain yields a fresh engine at seq 0.
+    Raises :class:`~repro.errors.RecoveryError` on any chain damage — a
+    malformed delta, a core whose length markers disagree with what the
+    deltas reconstruct — naming the checkpoint seq; an empty chain yields
+    a fresh engine at seq 0.
     """
     chain = _load_checkpoint_chain(wal_path / _CHECKPOINTS_DIR)
-    results_chain: List[Dict[str, Any]] = []
-    input_chain: List[Dict[str, Any]] = []
-    deleted_chain: List[Any] = []
-    shard_results_chain: List[List[Dict[str, Any]]] = [[] for _ in range(shards)]
-    shard_input_chain: List[List[Dict[str, Any]]] = [[] for _ in range(shards)]
-    shard_deleted_chain: List[List[Any]] = [[] for _ in range(shards)]
-    for checkpoint, _path in chain:
-        delta = checkpoint["delta"]
-        try:
-            results_chain.extend(delta["results"])
-            deleted_chain.extend(delta["deleted"])
-            if checkpoint.get("sharded"):
-                for index in range(shards):
-                    shard_results_chain[index].extend(
-                        delta["shard_results"][index]
-                    )
-                    shard_input_chain[index].extend(
-                        delta["shard_input"][index]
-                    )
-                    shard_deleted_chain[index].extend(
-                        delta["shard_deleted"][index]
-                    )
-            else:
-                input_chain.extend(delta["input"])
-        except (KeyError, IndexError, TypeError) as exc:
-            raise RecoveryError(
-                f"checkpoint seq {checkpoint['seq']} carries a malformed "
-                f"delta: {exc!r}"
-            ) from exc
-
-    cursors = _Cursors(
-        results=len(results_chain),
-        inputs=len(input_chain),
-        deleted=len(deleted_chain),
-        shard_results=[len(chunk) for chunk in shard_results_chain],
-        shard_inputs=[len(chunk) for chunk in shard_input_chain],
-        shard_deleted=[len(chunk) for chunk in shard_deleted_chain],
-    )
     latest_path: Optional[pathlib.Path] = None
     if chain:
         latest, latest_path = chain[-1]
         checkpoint_seq = latest["seq"]
         epoch = int(latest.get("epoch", 0)) + 1
-        core = latest["core"]
         try:
-            if latest.get("sharded"):
-                results_len = core.pop("results_len", None)
-                if results_len is not None and results_len != len(results_chain):
-                    raise RecoveryError(
-                        f"checkpoint core expects {results_len} global "
-                        f"results but the delta chain reconstructs "
-                        f"{len(results_chain)}"
-                    )
-                core["results"] = results_chain
-                deleted_len = core.pop("deleted_ids_len", None)
-                if deleted_len is not None and deleted_len != len(deleted_chain):
-                    raise RecoveryError(
-                        f"checkpoint core expects {deleted_len} deleted ids "
-                        f"but the delta chain reconstructs "
-                        f"{len(deleted_chain)}"
-                    )
-                core["deleted_ids"] = list(deleted_chain)
-                for index, shard_core in enumerate(core["shards"]):
-                    _splice_engine_core(
-                        shard_core,
-                        shard_results_chain[index],
-                        shard_input_chain[index],
-                        shard_deleted_chain[index],
-                    )
-            else:
-                _splice_engine_core(
-                    core, results_chain, input_chain, deleted_chain
-                )
-            inner = restore_engine(core)
+            inner = restore_engine(
+                latest["core"],
+                history=[checkpoint["delta"] for checkpoint, _path in chain],
+            )
         except ReproError as exc:
             raise RecoveryError(
                 f"checkpoint seq {checkpoint_seq} failed to restore: {exc}"
@@ -1122,12 +876,12 @@ def _restore_from_chain(
         checkpoint_seq=checkpoint_seq,
         epoch=epoch,
         inner=inner,
-        cursors=cursors,
+        marks=inner.history_marks(),
         latest_path=latest_path,
     )
 
 
-def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
+def _replay_record(inner, step, control) -> Optional[bool]:
     """Apply one WAL record to *inner* exactly as the original run did.
 
     Returns ``True`` when a step was applied, ``None`` when a step was
@@ -1144,8 +898,8 @@ def _replay_record(inner, sharded: bool, step, control) -> Optional[bool]:
         if control == "sweep":
             inner.sweep()
         elif control == "flush":
-            _apply_flush(inner, sharded)
-        elif control == "flush_pending" and sharded:
+            inner.flush()
+        elif control == "flush_pending":
             inner.flush_pending()
     except ReproError:
         if step is not None:
@@ -1202,7 +956,6 @@ class _LogTail:
             ) from exc
         self.chain: Optional[_ChainState] = None
         self.engine: Any = None
-        self.sharded = False
         #: watermark: every record with seq <= applied_seq is in engine
         self.applied_seq = 0
         #: highest seq seen on disk (may run ahead of applied_seq)
@@ -1259,7 +1012,6 @@ class _LogTail:
                 continue
             self.chain = state
             self.engine = state.inner
-            self.sharded = isinstance(state.inner, ShardedEngine)
             self.applied_seq = state.checkpoint_seq
             self.visible_seq = max(self.visible_seq, self.applied_seq)
             self.forget_reads()
@@ -1372,7 +1124,7 @@ class _LogTail:
             self.io.check("follower.apply")
         applied = 0
         while (record := self.stash.pop(self.applied_seq + 1, None)) is not None:
-            outcome = _replay_record(self.engine, self.sharded, *record)
+            outcome = _replay_record(self.engine, *record)
             if outcome is True:
                 self.replayed_steps += 1
             elif outcome is False:
@@ -1527,15 +1279,15 @@ def open_durable(
                     f"which differs from the requested {want!r}"
                 )
         return engine
+    given = {
+        "shards": shards, "checkpoint_interval": checkpoint_interval, "sync": sync,
+    }
     return DurableEngine(
         config,
         wal_dir=wal_path,
-        shards=1 if shards is None else shards,
-        checkpoint_interval=(
-            64 if checkpoint_interval is None else checkpoint_interval
-        ),
-        sync="checkpoint" if sync is None else sync,
         observers=observers,
         io=io,
+        # What the caller left unsaid takes DurableEngine's own default.
+        **{key: value for key, value in given.items() if value is not None},
         **overrides,
     )

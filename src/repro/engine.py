@@ -4,9 +4,8 @@
 (Rules 1-3) specify the behavior of the scheduling algorithm ... when a new
 transaction step arrives, the function F is applied to the current graph
 giving a new graph G; then the set of nodes P(G) is removed."*  Everything
-in this repository that drives that loop — the CLI, the experiment runner,
-the (now deprecated) :class:`~repro.manager.GarbageCollectedScheduler` —
-goes through :class:`Engine`:
+in this repository that drives that loop — the CLI, the experiment
+runner, the durability and serving layers — goes through :class:`Engine`:
 
 * **Registries** — schedulers and policies are named strings resolved via
   :mod:`repro.registry`, with model-compatibility validated when the
@@ -35,6 +34,15 @@ goes through :class:`Engine`:
   statistics, sweep cadence) as a JSON-ready dict built on the
   :mod:`repro.io` serializers; :meth:`Engine.restore` rebuilds a live
   engine that continues exactly where the snapshot left off.
+* **History protocol** — which lists grow with *history* rather than
+  with live state (step results, the input log, the ordered deletion
+  log) is the engine's business, stated once: ``snapshot(include_logs=
+  False)`` is the complete history-free core, ``history_marks()`` says
+  how much history exists, ``history_since(marks)`` returns the
+  JSON-ready tails, and ``repro.io.restore_engine(core, history=tails)``
+  splices them back (``splice_history``).  :class:`ShardedEngine`
+  composes the same three from its shards', so incremental checkpoints
+  never learn which engine they hold.
 
 >>> engine = Engine(scheduler="conflict-graph", policy="eager-c1",
 ...                 sweep_interval=2, verify_c2=True)
@@ -72,8 +80,9 @@ from repro.errors import (
     UnsafeDeletionError,
 )
 from repro.model.schedule import Schedule
+from repro.model.status import TxnState
 from repro.model.steps import Begin, BeginDeclared, Step, TxnId
-from repro.scheduler.base import SchedulerBase
+from repro.scheduler.base import SchedulerBase, take_length_marker
 from repro.scheduler.events import Decision, StepResult
 from repro.sharding import FootprintRouter, Migration, footprint_of, migrate_group
 
@@ -277,9 +286,7 @@ class CallbackObserver(EngineObserver):
 class StatsObserver(EngineObserver):
     """Maintains :class:`GcStats` from engine events.
 
-    This is the observer-based port of the counters the old
-    ``GarbageCollectedScheduler`` kept as hard-coded fields; every engine
-    carries one so ``engine.stats`` is always available.
+    Every engine carries one so ``engine.stats`` is always available.
     """
 
     def __init__(self, stats: Optional[GcStats] = None) -> None:
@@ -298,9 +305,8 @@ class StatsObserver(EngineObserver):
         self.stats.deleted_ids.extend(deleted)
 
     def on_step_end(self, engine: "Engine", result: StepResult) -> None:
-        # Peaks are measured after the (step, deletion) pair completes,
-        # matching the legacy GarbageCollectedScheduler semantics.  The
-        # completed count comes from the maintained state mask (one
+        # Peaks are measured after the (step, deletion) pair completes.
+        # The completed count comes from the maintained state mask (one
         # bit_count), not a per-step frozenset materialization.
         graph = engine.scheduler.graph
         stats = self.stats
@@ -413,11 +419,107 @@ class EngineConfig:
 
 
 # ---------------------------------------------------------------------------
+# What every engine answers the same way
+# ---------------------------------------------------------------------------
+
+
+class BatchFacade:
+    """``feed_many`` / ``feed_batch`` over the surface every engine —
+    :class:`Engine`, :class:`ShardedEngine`, the durable wrapper — shares:
+    ``feed``, ``flush``, ``stats``, ``sweeps_run``.  Each is looked up
+    per call, so a wrapper that logs ``feed`` (or a proxy that times it)
+    sees every step of a batch."""
+
+    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
+        """Feed steps lazily; returns the per-step results."""
+        return [self.feed(step) for step in steps]
+
+    def feed_batch(
+        self, steps: Iterable[Step], *, flush: bool = False
+    ) -> BatchResult:
+        """Feed a whole iterable lazily and aggregate the outcome.
+
+        Steps are pulled from *steps* one at a time (generators welcome;
+        nothing is materialized up front).  ``flush=True`` ends the batch
+        with :meth:`flush`: deferred BEGINs are materialized and a final
+        sweep runs wherever steps were fed since the last one, so the
+        batch ends with the policy's verdict applied.
+        """
+        results: List[StepResult] = []
+        counts = {decision: 0 for decision in Decision}
+        aborted: List[TxnId] = []
+        committed: List[TxnId] = []
+        deleted_start = len(self.stats.deleted_ids)
+        sweeps_start = self.sweeps_run
+        for step in steps:
+            result = self.feed(step)
+            results.append(result)
+            counts[result.decision] += 1
+            aborted.extend(result.aborted)
+            committed.extend(result.committed)
+        if flush:
+            self.flush()
+        return BatchResult(
+            steps_fed=len(results),
+            accepted=counts[Decision.ACCEPTED],
+            rejected=counts[Decision.REJECTED],
+            delayed=counts[Decision.DELAYED],
+            ignored=counts[Decision.IGNORED],
+            aborted=tuple(aborted),
+            committed=tuple(committed),
+            deleted=tuple(self.stats.deleted_ids[deleted_start:]),
+            sweeps=self.sweeps_run - sweeps_start,
+            results=tuple(results),
+        )
+
+
+class _EngineFacade(BatchFacade):
+    """The batch façade plus the one :class:`AuditRecord` assembly: an
+    engine says where a transaction is now (``_fate(txn)`` → status and
+    fine-grained state or ``None``) and keeps the two audit maps."""
+
+    def audit(self, txn: TxnId) -> AuditRecord:
+        """One transaction's fate — see :class:`AuditRecord`.
+
+        Answers "was it accepted, is it still retained, when was it
+        deleted" in one call; the serving read path exposes it per
+        tenant.
+        """
+        status, state = self._fate(txn)
+        if status == "unknown":
+            return AuditRecord(txn, status)
+        # Only a deleted transaction has a deletion tick (ids are never
+        # reused), so that lookup is None for every other status.
+        return AuditRecord(
+            txn, status, state,
+            self._accept_pos.get(txn), self._deletion_ticks.get(txn),
+        )
+
+
+def _gather_history(deltas, *keys: str, shard: Optional[int] = None):
+    """One list per key: that key's entries — of *shard*, for a sharded
+    delta's per-shard lists — concatenated over the ordered *deltas*.
+    Deltas are bytes read back from disk: one that lacks a key or holds
+    the wrong type raises :class:`SnapshotError` naming its position."""
+    chains = tuple([] for _ in keys)
+    for index, delta in enumerate(deltas):
+        try:
+            for chain, key in zip(chains, keys):
+                chain.extend(delta[key] if shard is None else delta[key][shard])
+        except (KeyError, IndexError, TypeError) as exc:
+            raise SnapshotError(
+                f"history delta {index + 1} of {len(deltas)} is malformed: "
+                f"{exc!r}"
+            ) from exc
+    return chains
+
+
+# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
 
-class Engine:
+class Engine(_EngineFacade):
     """§4's combined scheduling algorithm behind one stable API.
 
     Construct from registry names (directly or via an
@@ -538,8 +640,8 @@ class Engine:
     def _bind_policy(self) -> None:
         """(Re)derive gating state from the current policy.
 
-        Policies can be swapped mid-run (the legacy façade exposes a
-        setter), so binding is re-checked by identity on every feed/sweep;
+        Policies can be swapped mid-run (``engine.policy`` is a plain
+        attribute), so binding is re-checked by identity on every feed/sweep;
         a swap resets the gate and dirty tracker to their conservative
         states.
         """
@@ -652,46 +754,16 @@ class Engine:
             return self._dirty_tracker.is_empty
         return self._completion_gated and not self._gate_open
 
-    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
-        """Feed steps lazily; returns the per-step results."""
-        return [self.feed(step) for step in steps]
-
-    def feed_batch(
-        self, steps: Iterable[Step], *, flush: bool = False
-    ) -> BatchResult:
-        """Feed a whole iterable lazily and aggregate the outcome.
-
-        Steps are pulled from *steps* one at a time (generators welcome;
-        nothing is materialized up front).  With ``flush=True`` a final
-        sweep runs after the last step even if the cadence is not due, so
-        the batch ends with the policy's verdict applied.
-        """
-        results: List[StepResult] = []
-        counts = {decision: 0 for decision in Decision}
-        aborted: List[TxnId] = []
-        committed: List[TxnId] = []
-        deleted_start = len(self.stats.deleted_ids)
-        sweeps_start = self._sweeps_run
-        for step in steps:
-            result = self.feed(step)
-            results.append(result)
-            counts[result.decision] += 1
-            aborted.extend(result.aborted)
-            committed.extend(result.committed)
-        if flush and self._steps_since_sweep:
+    def flush(self) -> None:
+        """The ``feed_batch(flush=True)`` epilogue: a final sweep when
+        steps were fed since the last one (a monolith defers nothing)."""
+        if self._steps_since_sweep:
             self.sweep()
-        return BatchResult(
-            steps_fed=len(results),
-            accepted=counts[Decision.ACCEPTED],
-            rejected=counts[Decision.REJECTED],
-            delayed=counts[Decision.DELAYED],
-            ignored=counts[Decision.IGNORED],
-            aborted=tuple(aborted),
-            committed=tuple(committed),
-            deleted=tuple(self.stats.deleted_ids[deleted_start:]),
-            sweeps=self._sweeps_run - sweeps_start,
-            results=tuple(results),
-        )
+
+    def flush_pending(self) -> int:
+        """Deferred BEGINs materialized — always 0: a monolith feeds every
+        BEGIN at once (only a router defers; see :class:`ShardedEngine`)."""
+        return 0
 
     def sweep(self) -> FrozenSet[TxnId]:
         """Invoke the policy now and delete its selection; returns it.
@@ -793,32 +865,15 @@ class Engine:
         """Ids removed by sweeps so far (the graph's tombstone set)."""
         return self.scheduler.graph.deleted_transactions()
 
-    def audit(self, txn: TxnId) -> AuditRecord:
-        """One transaction's fate — see :class:`AuditRecord`.
-
-        Answers "was it accepted, is it still retained, when was it
-        deleted" from the live graph, the tombstone set, and the aborted
-        set in one call; the serving read path exposes it per tenant.
-        """
+    def _fate(self, txn: TxnId) -> Tuple[str, Optional[str]]:
         graph = self.scheduler.graph
-        accepted_at = self._accept_pos.get(txn)
         if txn in graph:
-            return AuditRecord(
-                txn,
-                "live",
-                state=graph.state(txn).value,
-                accepted_at=accepted_at,
-            )
+            return "live", graph.state(txn).value
         if graph.is_deleted(txn):
-            return AuditRecord(
-                txn,
-                "deleted",
-                accepted_at=accepted_at,
-                deleted_at=self._deletion_ticks.get(txn),
-            )
+            return "deleted", None
         if txn in self.scheduler.aborted or graph.is_aborted(txn):
-            return AuditRecord(txn, "aborted", accepted_at=accepted_at)
-        return AuditRecord(txn, "unknown")
+            return "aborted", None
+        return "unknown", None
 
     def __repr__(self) -> str:
         return (
@@ -837,16 +892,22 @@ class Engine:
         via :meth:`from_parts` with unregistered components cannot promise
         a faithful rebuild and raise :class:`EngineError`).
 
-        ``include_logs=False`` omits the history-sized log sections (see
-        :meth:`SchedulerBase.snapshot_state`); such a payload is **not**
-        restorable on its own — the durability layer persists the log
-        tails as checkpoint deltas and splices them back before restore.
+        ``include_logs=False`` is the history-free **core**: every list
+        that grows with history rather than with live state is left out —
+        the scheduler's two logs and the graph's tombstone list (see
+        :meth:`SchedulerBase.snapshot_state`) and the ordered deletion
+        log in ``stats``.  A core is **not** restorable on its own:
+        persist :meth:`history_since` tails beside it and hand both to
+        ``repro.io.restore_engine(core, history=tails)``.
         """
         if self.config is None:
             raise EngineError(
                 "cannot snapshot an engine built from unregistered parts; "
                 "register the scheduler/policy types (repro.registry) first"
             )
+        stats = self.stats.as_dict()
+        if not include_logs:
+            del stats["deleted_ids"]
         return {
             "format": SNAPSHOT_FORMAT,
             "config": self.config.as_dict(),
@@ -862,11 +923,47 @@ class Engine:
                     else self._dirty_tracker.state_dict()
                 ),
             },
-            "stats": self.stats.as_dict(),
+            "stats": stats,
             "scheduler_state": self.scheduler.snapshot_state(
                 include_logs=include_logs
             ),
         }
+
+    # -- history protocol ----------------------------------------------------------
+
+    def history_marks(self) -> Dict[str, Any]:
+        """How much of each history list exists now.  Plain data that
+        refers to no engine instance: marks stay meaningful for any
+        engine holding the same history (a restored copy, a replica)."""
+        marks = self.scheduler.history_marks()
+        marks["deleted"] = len(self.stats.deleted_ids)
+        return marks
+
+    def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
+        """The JSON-ready tail of every history list past *marks*.
+        Read-only — nothing advances, so a caller whose write of a tail
+        failed asks again with the same marks."""
+        delta = self.scheduler.history_since(marks)
+        delta["deleted"] = list(self.stats.deleted_ids[marks["deleted"] :])
+        return delta
+
+    @staticmethod
+    def splice_history(core: Dict[str, Any], deltas) -> None:
+        """Make a ``snapshot(include_logs=False)`` *core* restorable, in
+        place, from the ordered :meth:`history_since` tails covering it.
+        A tail that is malformed, or lengths that disagree with the
+        core's markers, raise :class:`~repro.errors.SnapshotError`."""
+        Engine._install_history(
+            core, *_gather_history(deltas, "results", "input", "deleted")
+        )
+
+    @staticmethod
+    def _install_history(core, results, inputs, deleted) -> None:
+        SchedulerBase.splice_history(
+            core["scheduler_state"], results, inputs, deleted
+        )
+        # Deletion order here; the graph's tombstone list is sorted.
+        core["stats"]["deleted_ids"] = deleted
 
     @classmethod
     def restore(
@@ -921,7 +1018,7 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
-class ShardedEngine:
+class ShardedEngine(_EngineFacade):
     """K independent §4 loops behind one feed API, partitioned by footprint.
 
     Every model's arc/lock/certification rules only ever relate
@@ -1176,48 +1273,10 @@ class ShardedEngine:
             flushed += 1
         return flushed
 
-    def feed_many(self, steps: Iterable[Step]) -> List[StepResult]:
-        return [self.feed(step) for step in steps]
-
-    def feed_batch(
-        self, steps: Iterable[Step], *, flush: bool = False
-    ) -> BatchResult:
-        """Feed a whole iterable lazily; aggregate across shards.
-
-        ``flush=True`` additionally materializes pending BEGINs and runs a
-        final sweep on every shard with steps since its last sweep.
-        """
-        results: List[StepResult] = []
-        counts = {decision: 0 for decision in Decision}
-        aborted: List[TxnId] = []
-        committed: List[TxnId] = []
-        deleted_start = len(self._deleted_ids)
-        sweeps_start = sum(engine.sweeps_run for engine in self._engines)
-        for step in steps:
-            result = self.feed(step)
-            results.append(result)
-            counts[result.decision] += 1
-            aborted.extend(result.aborted)
-            committed.extend(result.committed)
-        if flush:
-            self.flush_and_sweep()
-        return BatchResult(
-            steps_fed=len(results),
-            accepted=counts[Decision.ACCEPTED],
-            rejected=counts[Decision.REJECTED],
-            delayed=counts[Decision.DELAYED],
-            ignored=counts[Decision.IGNORED],
-            aborted=tuple(aborted),
-            committed=tuple(committed),
-            deleted=tuple(self._deleted_ids[deleted_start:]),
-            sweeps=sum(e.sweeps_run for e in self._engines) - sweeps_start,
-            results=tuple(results),
-        )
-
-    def flush_and_sweep(self) -> None:
-        """Materialize pending BEGINs, then sweep every shard that has
-        fed steps since its last sweep (the ``feed_batch(flush=True)``
-        epilogue, exposed so the durability layer can replay it)."""
+    def flush(self) -> None:
+        """The ``feed_batch(flush=True)`` epilogue: materialize pending
+        BEGINs, then sweep every shard that has fed steps since its last
+        sweep."""
         self.flush_pending()
         for index, engine in enumerate(self._engines):
             if engine.steps_since_sweep:
@@ -1258,7 +1317,9 @@ class ShardedEngine:
             deletions=len(self._deleted_ids),
             peak_graph_size=self._peak_live_total,
             peak_retained_completed=self._peak_completed_total,
-            deleted_ids=list(self._deleted_ids),
+            # The live log, as on Engine: a copy here would make every
+            # stats read cost O(history).
+            deleted_ids=self._deleted_ids,
         )
         for engine in self._engines:
             merged.policy_invocations += engine.stats.policy_invocations
@@ -1312,38 +1373,19 @@ class ShardedEngine:
         """Ids removed by any shard's sweeps (the global tombstone set)."""
         return frozenset(self._deleted_set)
 
-    def audit(self, txn: TxnId) -> AuditRecord:
-        """One transaction's fate across all shards — see
-        :class:`AuditRecord`.
-
-        Deferred (footprint-less) BEGINs report as live actives: the
-        router accepted them, they just have no graph node yet.
-        """
-        accepted_at = self._accept_pos.get(txn)
+    def _fate(self, txn: TxnId) -> Tuple[str, Optional[str]]:
         if txn in self._deleted_set:
-            return AuditRecord(
-                txn,
-                "deleted",
-                accepted_at=accepted_at,
-                deleted_at=self._deletion_ticks.get(txn),
-            )
+            return "deleted", None
         if txn in self._pending_begin:
-            from repro.model.status import TxnState
-
-            return AuditRecord(
-                txn, "live", state=TxnState.ACTIVE.value, accepted_at=accepted_at
-            )
+            # A deferred (footprint-less) BEGIN: the router accepted it,
+            # it just has no graph node yet.
+            return "live", TxnState.ACTIVE.value
         for engine in self._engines:
             if txn in engine.graph:
-                return AuditRecord(
-                    txn,
-                    "live",
-                    state=engine.graph.state(txn).value,
-                    accepted_at=accepted_at,
-                )
+                return "live", engine.graph.state(txn).value
         if txn in self._aborted:
-            return AuditRecord(txn, "aborted", accepted_at=accepted_at)
-        return AuditRecord(txn, "unknown")
+            return "aborted", None
+        return "unknown", None
 
     def shard_of(self, txn: TxnId) -> Optional[int]:
         return self._router.shard_of_txn(txn)
@@ -1412,10 +1454,9 @@ class ShardedEngine:
         as any scheduler does), and the merged counters.  Restore followed
         by re-snapshot yields an identical payload.
 
-        ``include_logs=False`` omits the global result log and the
-        per-shard scheduler logs (replaced by length markers) — the
-        durability layer's incremental-checkpoint core; not restorable
-        until the logs are spliced back in.
+        ``include_logs=False`` is the history-free core, as on
+        :meth:`Engine.snapshot`: length markers replace the global result
+        and deletion logs, and every shard contributes its own core.
         """
         from repro.io import step_result_to_dict, step_to_dict
 
@@ -1447,11 +1488,53 @@ class ShardedEngine:
                 step_result_to_dict(r) for r in self._results
             ]
         else:
-            # Both grow with history, not live state; incremental
-            # checkpoints reconstruct them from their delta chain.
             payload["deleted_ids_len"] = len(self._deleted_ids)
             payload["results_len"] = len(self._results)
         return payload
+
+    # -- history protocol (see Engine) ----------------------------------------------
+
+    def history_marks(self) -> Dict[str, Any]:
+        return {
+            "results": len(self._results),
+            "deleted": len(self._deleted_ids),
+            "shards": [engine.history_marks() for engine in self._engines],
+        }
+
+    def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.io import step_result_to_dict
+
+        tails = [
+            engine.history_since(shard_marks)
+            for engine, shard_marks in zip(self._engines, marks["shards"])
+        ]
+        return {
+            "results": [
+                step_result_to_dict(r) for r in self._results[marks["results"] :]
+            ],
+            "deleted": list(self._deleted_ids[marks["deleted"] :]),
+            "shard_results": [tail["results"] for tail in tails],
+            "shard_input": [tail["input"] for tail in tails],
+            "shard_deleted": [tail["deleted"] for tail in tails],
+        }
+
+    @staticmethod
+    def splice_history(core: Dict[str, Any], deltas) -> None:
+        results, deleted = _gather_history(deltas, "results", "deleted")
+        core["results"] = take_length_marker(
+            core, "results_len", results, "global results"
+        )
+        core["deleted_ids"] = take_length_marker(
+            core, "deleted_ids_len", deleted, "deleted ids"
+        )
+        for shard, shard_core in enumerate(core["shards"]):
+            Engine._install_history(
+                shard_core,
+                *_gather_history(
+                    deltas, "shard_results", "shard_input", "shard_deleted",
+                    shard=shard,
+                ),
+            )
 
     @classmethod
     def restore(
@@ -1549,8 +1632,10 @@ def build_engine(
     With ``wal_dir`` set, the engine is wrapped in a
     :class:`~repro.durability.DurableEngine`: every fed step is appended
     to an on-disk write-ahead log and a checkpoint is taken every
-    *checkpoint_interval* steps (default 64), so a crash loses at most
-    the torn final record (see :func:`repro.durability.recover`).
+    *checkpoint_interval* steps (default
+    :data:`~repro.durability.DEFAULT_CHECKPOINT_INTERVAL`), so a crash
+    loses at most the torn final record (see
+    :func:`repro.durability.recover`).
 
     Keyword arguments are validated eagerly: an unknown key raises
     :class:`ValueError` naming it (with a did-you-mean hint), and the
@@ -1577,15 +1662,14 @@ def build_engine(
     if wal_dir is not None:
         from repro.durability import DurableEngine
 
+        given = {"checkpoint_interval": checkpoint_interval, "sync": sync}
         return DurableEngine(
             config,
             wal_dir=wal_dir,
             shards=shards,
-            checkpoint_interval=(
-                64 if checkpoint_interval is None else checkpoint_interval
-            ),
-            sync="checkpoint" if sync is None else sync,
             observers=observers,
+            # What the caller left unsaid takes DurableEngine's own default.
+            **{key: value for key, value in given.items() if value is not None},
             **overrides,
         )
     if checkpoint_interval is not None or sync is not None:

@@ -4,16 +4,12 @@ For debugging sessions, regression fixtures, and crash post-mortems: dump
 the scheduler's current reduced graph (arc structure + payloads + deletion
 bookkeeping) or a step stream, reload them bit-identically later.
 
-Graph format history:
-
-* **format 1** — nodes + arcs only; loading replays every arc through
-  ``add_arc`` (closure re-propagation).  Still accepted on read.
-* **format 2** (current) — additionally carries the bitset kernel state
-  (:meth:`~repro.graphs.bitclosure.BitClosureGraph.state_dict`): the
-  interner's slot/free-list layout and the successor/descendant rows as
-  hex-encoded bitmasks.  Loading restores the kernel directly — no
-  re-propagation — and is *bit-exact*: the restored graph has the same id
-  assignment, the same free list, and therefore the same masks everywhere.
+The graph format (version 2) carries, besides nodes and arcs, the bitset
+kernel state (:meth:`~repro.graphs.bitclosure.BitClosureGraph.state_dict`): the
+interner's slot/free-list layout and the successor/descendant rows as
+hex-encoded bitmasks.  Loading restores the kernel directly — no
+re-propagation — and is *bit-exact*: the restored graph has the same id
+assignment, the same free list, and therefore the same masks everywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import tempfile
 from typing import Any, Dict, List, Optional
 
 from repro.core.reduced_graph import ReducedGraph, TxnInfo
-from repro.errors import ModelError
+from repro.errors import ModelError, SnapshotError
 from repro.graphs.bitclosure import BitClosureGraph
 from repro.model.schedule import Schedule
 from repro.model.status import AccessMode, TxnState
@@ -65,7 +61,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 2
-_LEGACY_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +138,8 @@ def graph_to_dict(
 
     ``include_deleted=False`` omits the ``deleted`` tombstone list — the
     one section that grows with *history* rather than live state (O(d
-    log d) to build).  The durability layer's incremental checkpoints
-    reconstruct it from their delta chain; such a payload is not loadable
-    until the list is spliced back.
+    log d) to build); see :meth:`repro.engine.Engine.snapshot` for what
+    puts it back.
 
     Not allowed while a deletion trial is open: the payload would record
     the to-be-rolled-back deletions as permanent and serialize their
@@ -223,53 +217,31 @@ def _require_section(payload: Dict[str, Any], key: str, what: str):
 def graph_from_dict(payload: Dict[str, Any]) -> ReducedGraph:
     """Inverse of :func:`graph_to_dict`.
 
-    Accepts both format 2 (bit-exact kernel restore) and the legacy
-    format 1 (arc-by-arc closure rebuild), so old snapshots still load.
+    Restores the kernel bit-exactly (no closure re-propagation).
     Truncated or type-mangled payloads raise :class:`ModelError` naming
     the missing/invalid section instead of surfacing a raw ``KeyError``.
     """
     version = _require_section(payload, "format", "graph payload")
+    if version != _FORMAT_VERSION:
+        raise ModelError(f"unsupported graph format {version!r}")
     try:
-        if version == _FORMAT_VERSION:
-            closure_state = _require_section(payload, "closure", "graph payload")
-            nodes = _require_section(payload, "nodes", "graph payload")
-            graph = ReducedGraph()
-            graph._closure = BitClosureGraph.from_state_dict(closure_state)
-            for node in nodes:
-                info = _node_info_from_dict(node)
-                if info.txn not in graph._closure:
-                    raise ModelError(
-                        f"graph payload node {info.txn!r} missing from the "
-                        "serialized closure kernel"
-                    )
-                graph._info[info.txn] = info
-                graph._index_payload(info.txn, info)
-            if len(graph._info) != len(graph._closure):
+        closure_state = _require_section(payload, "closure", "graph payload")
+        nodes = _require_section(payload, "nodes", "graph payload")
+        graph = ReducedGraph()
+        graph._closure = BitClosureGraph.from_state_dict(closure_state)
+        for node in nodes:
+            info = _node_info_from_dict(node)
+            if info.txn not in graph._closure:
                 raise ModelError(
-                    "serialized closure kernel carries nodes without payloads"
+                    f"graph payload node {info.txn!r} missing from the "
+                    "serialized closure kernel"
                 )
-        elif version == _LEGACY_FORMAT_VERSION:
-            graph = ReducedGraph()
-            for node in _require_section(payload, "nodes", "graph payload"):
-                future = node.get("future")
-                graph.add_transaction(
-                    node["txn"],
-                    TxnState(node["state"]),
-                    declared=(
-                        None
-                        if future is None
-                        else {e: AccessMode[m] for e, m in future.items()}
-                    ),
-                )
-                for entity, mode in node["accesses"].items():
-                    graph.record_access(node["txn"], entity, AccessMode[mode])
-                graph.info(node["txn"]).reads_from.update(
-                    node.get("reads_from", ())
-                )
-            for tail, head in _require_section(payload, "arcs", "graph payload"):
-                graph.add_arc(tail, head)
-        else:
-            raise ModelError(f"unsupported graph format {version!r}")
+            graph._info[info.txn] = info
+            graph._index_payload(info.txn, info)
+        if len(graph._info) != len(graph._closure):
+            raise ModelError(
+                "serialized closure kernel carries nodes without payloads"
+            )
         # Deletion/abort bookkeeping: restore so id-reuse protection
         # survives a round trip.
         graph._deleted.update(payload.get("deleted", ()))
@@ -584,7 +556,9 @@ def engine_snapshot_from_json(text: str) -> Dict[str, Any]:
     return payload
 
 
-def restore_engine(payload: Dict[str, Any]):
+def restore_engine(
+    payload: Dict[str, Any], *, history: Optional[List[Dict[str, Any]]] = None
+):
     """Rebuild a live engine from any snapshot payload.
 
     Dispatches on the payload's format stamp: sharded-engine snapshots
@@ -592,12 +566,21 @@ def restore_engine(payload: Dict[str, Any]):
     :class:`~repro.engine.ShardedEngine`, anything else goes through
     :class:`~repro.engine.Engine.restore` (which validates its own format
     version).
+
+    *history* is the one way back from a ``snapshot(include_logs=False)``
+    core: the ordered ``history_since`` tails covering it, spliced into
+    *payload* in place by that engine class's ``splice_history``.
     """
     from repro.engine import SHARDED_SNAPSHOT_KIND, Engine, ShardedEngine
 
-    if isinstance(payload, dict) and payload.get("kind") == SHARDED_SNAPSHOT_KIND:
-        return ShardedEngine.restore(payload)
-    return Engine.restore(payload)
+    sharded = isinstance(payload, dict) and payload.get("kind") == SHARDED_SNAPSHOT_KIND
+    engine_class = ShardedEngine if sharded else Engine
+    if history is not None:
+        try:
+            engine_class.splice_history(payload, history)
+        except (KeyError, TypeError) as exc:
+            raise SnapshotError(f"malformed snapshot core: {exc!r}") from exc
+    return engine_class.restore(payload)
 
 
 def currency_to_dict(tracker) -> Dict[str, Any]:

@@ -41,6 +41,19 @@ from repro.tracking import CurrencyTracker
 __all__ = ["SchedulerBase", "CurrencyTracker"]
 
 
+def take_length_marker(section: Dict[str, Any], marker: str, chain: list, what: str):
+    """Pop the length a history-free snapshot *section* recorded under
+    *marker* and return *chain*, refusing a reconstruction of any other
+    length (a marker an older writer did not record checks nothing)."""
+    expected = section.pop(marker, None)
+    if expected is not None and expected != len(chain):
+        raise SnapshotError(
+            f"core expects {expected} {what} but the history reconstructs "
+            f"{len(chain)}"
+        )
+    return chain
+
+
 class SchedulerBase(ABC):
     """Shared driving protocol; subclasses implement :meth:`_process`."""
 
@@ -151,13 +164,11 @@ class SchedulerBase(ABC):
         state :meth:`_snapshot_extra` contributes (parked step queues, lock
         tables, certification clocks, ...).
 
-        ``include_logs=False`` omits the input log and result list —
-        the sections whose size grows with history rather than with live
-        state — and records only their length (``log_len``).  The
-        durability layer uses this for *incremental* checkpoints: it
-        persists the log tail separately as per-checkpoint deltas and
-        splices the full logs back in before :meth:`restore_state`, which
-        always expects a complete payload.
+        ``include_logs=False`` omits the sections that grow with history
+        — the input log, the result list, the graph's tombstone list —
+        and records the two log lengths instead; :meth:`splice_history`
+        puts them back before :meth:`restore_state`, which always expects
+        a complete payload (the contract: :meth:`Engine.snapshot`).
         """
         state = {
             "graph": graph_to_dict(self.graph, include_deleted=include_logs),
@@ -176,6 +187,34 @@ class SchedulerBase(ABC):
             state["log_len"] = len(self._results)
             state["input_len"] = len(self._input_log)
         return state
+
+    def history_marks(self) -> Dict[str, Any]:
+        """Current length of each log — two marks, for the reason
+        :meth:`snapshot_state` records two lengths."""
+        return {"results": len(self._results), "input": len(self._input_log)}
+
+    def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
+        """The JSON-ready tails of both logs past *marks*."""
+        return {
+            "results": [
+                step_result_to_dict(r) for r in self._results[marks["results"] :]
+            ],
+            "input": [step_to_dict(s) for s in self._input_log[marks["input"] :]],
+        }
+
+    @staticmethod
+    def splice_history(
+        state: Dict[str, Any], results: list, inputs: list, deleted: list
+    ) -> None:
+        """Inverse of ``snapshot_state(include_logs=False)``: put the
+        reconstructed logs and tombstones back into *state*."""
+        state["results"] = take_length_marker(
+            state, "log_len", results, "scheduler log entries"
+        )
+        state["input_log"] = take_length_marker(
+            state, "input_len", inputs, "input-log entries"
+        )
+        state["graph"]["deleted"] = sorted(deleted)
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot_state`; overwrites this instance."""

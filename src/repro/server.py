@@ -723,8 +723,7 @@ class ReproServer:
                 if item.kind == "sweep":
                     outcome: Any = sorted(tenant.engine.sweep())
                 elif item.kind == "flush_pending":
-                    flush = getattr(tenant.engine, "flush_pending", None)
-                    outcome = 0 if flush is None else flush()
+                    outcome = tenant.engine.flush_pending()
                 else:
                     outcome = await self._feed_steps(tenant, item.steps)
             except asyncio.CancelledError:
@@ -1134,11 +1133,17 @@ class ReproServer:
         config = request.get("config", {})
         if not isinstance(config, dict):
             raise ProtocolError("'config' must be an object of engine kwargs")
+        shards = request.get("shards", 1)
+        # bool is an int subclass: "shards": true is not a shard count.
+        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
+            raise ProtocolError(
+                f"'shards' must be an integer >= 1, got {shards!r}"
+            )
         tenant = self.create_tenant(
             _require_tenant(request),
             wal_dir=request.get("wal_dir"),
             replica_of=request.get("replica_of"),
-            shards=int(request.get("shards", 1)),
+            shards=shards,
             checkpoint_interval=request.get("checkpoint_interval"),
             sync=request.get("sync"),
             **config,

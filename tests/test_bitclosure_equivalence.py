@@ -221,19 +221,3 @@ class TestRecyclingAndSnapshots:
         for txn in graph:
             assert restored.id_of(txn) == graph.id_of(txn)
         restored.check_invariants()
-
-    def test_legacy_format1_snapshot_still_loads(self):
-        """Versioning: pre-kernel (format 1) graph payloads keep loading
-        via the arc-replay path."""
-        engine = Engine(
-            scheduler="conflict-graph", policy="eager-c1", sweep_interval=3
-        )
-        engine.feed_batch(basic_stream(_config(19)))
-        payload = graph_to_dict(engine.graph)
-        legacy = {k: v for k, v in payload.items() if k != "closure"}
-        legacy["format"] = 1
-        restored = graph_from_dict(legacy)
-        fresh = graph_to_dict(restored)
-        for key in ("nodes", "arcs", "deleted", "aborted"):
-            assert fresh[key] == payload[key]
-        restored.check_invariants()

@@ -233,13 +233,12 @@ class TestPayloadValidation:
             graph_from_dict("not a dict")
 
     def test_graph_dict_wraps_mangled_node(self):
+        engine = Engine(scheduler="conflict-graph")
+        engine.feed(Begin("T1"))
+        payload = engine.snapshot()["scheduler_state"]["graph"]
+        payload["nodes"][0]["state"] = "NOT-A-STATE"
         with pytest.raises(ModelError, match="invalid section"):
-            graph_from_dict({
-                "format": 1,
-                "nodes": [{"txn": "T1", "state": "NOT-A-STATE",
-                           "accesses": {}}],
-                "arcs": [],
-            })
+            graph_from_dict(payload)
 
     def test_truncated_snapshot_json_is_model_error(self):
         with pytest.raises(ModelError, match="truncated or not valid"):
@@ -409,8 +408,8 @@ class TestRecoveryFailures:
             recover(tmp_path / "wal")
 
     def test_flush_and_sweep_is_wal_logged(self, tmp_path):
-        """The delegated ShardedEngine.flush_and_sweep must not bypass
-        the WAL (an un-logged sweep would not survive a crash)."""
+        """``flush`` under its older name must not bypass the WAL (an
+        un-logged sweep would not survive a crash)."""
         stream = _stream()
         durable = DurableEngine(
             scheduler="conflict-graph", policy="eager-c1",

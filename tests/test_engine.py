@@ -251,22 +251,6 @@ class TestStats:
         }
         assert GcStats.from_dict(payload) == engine.stats
 
-    def test_stats_match_legacy_facade(self):
-        import warnings
-
-        stream = basic_stream(CONFIG)
-        engine = Engine(scheduler="conflict-graph", policy="eager-c1")
-        engine.feed_batch(stream)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.manager import GarbageCollectedScheduler
-
-            legacy = GarbageCollectedScheduler(
-                ConflictGraphScheduler(), engine.policy.__class__()
-            )
-        legacy.feed_many(stream)
-        assert legacy.stats == engine.stats
-
     def test_run_with_policy_mixed_paths_model_checked(self):
         """A registry name in either slot opts into model validation, even
         when the other side is an instance (regression: the mixed paths
@@ -289,22 +273,6 @@ class TestStats:
         run_with_policy(
             "conflict-graph", basic_stream(CONFIG), LocalPolicy()
         )
-
-    def test_legacy_facade_attributes_still_writable(self):
-        import warnings
-
-        from repro.engine import GcStats
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.manager import GarbageCollectedScheduler
-
-            legacy = GarbageCollectedScheduler(ConflictGraphScheduler())
-        legacy.verify_c2 = True
-        legacy.stats = GcStats(steps_fed=5)
-        assert legacy.stats.steps_fed == 5
-        legacy.feed(Begin("T1"))
-        assert legacy.stats.steps_fed == 6
 
     def test_run_with_policy_sweep_interval_invocations(self):
         stream = basic_stream(CONFIG)

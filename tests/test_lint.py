@@ -744,6 +744,43 @@ class TestSelfRun:
         # stamps (3).
         assert len(run.suppressed) == 4
 
+    def test_layers_above_the_engines_do_not_know_their_shape(self):
+        """One owner per decision: what counts as history, and which
+        engine answers a call, is ``engine.py``'s business.  Durability,
+        replication and serving hold *an engine* — they name no sharded
+        class or flag, reach into nobody's history lists, and probe for
+        no method (every engine answers the same façade)."""
+        import ast
+        import re
+
+        root = default_root()
+        for name in ("durability.py", "replication.py", "server.py"):
+            text = (root / name).read_text()
+            assert "ShardedEngine" not in text, name
+            assert not re.search(r"\b_sharded\b|\.sharded\b", text), name
+            assert not re.search(
+                r"\._results\b|\._input_log\b|\._deleted_ids\b", text
+            ), name
+            for node in ast.walk(ast.parse(text)):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and isinstance(node.args[1], ast.Constant)
+                ):
+                    target = ast.unparse(node.args[0]).lower()
+                    assert "engine" not in target and "inner" not in target, (
+                        f"{name}:{node.lineno} probes an engine for "
+                        f"{node.args[1].value!r}"
+                    )
+        # The BatchResult aggregation exists once (client.py's wire
+        # feed_batch is a different thing).
+        batch_defs = sum(
+            len(re.findall(r"^\s*def feed_batch\b", (root / name).read_text(), re.M))
+            for name in ("engine.py", "durability.py")
+        )
+        assert batch_defs == 1
+
     def test_committed_baseline_is_empty(self):
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         baseline = repo_root / "lint-baseline.json"

@@ -177,6 +177,55 @@ def coreless_latest_link(tmp):
     return None, wal
 
 
+def _rewrite_checkpoint(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def delta_lost_a_key(tmp):
+    wal = _crashed(tmp / "wal", steps=len(STREAM), checkpoint_interval=8)
+    _rewrite_checkpoint(
+        _checkpoints(wal)[1], lambda payload: payload["delta"].pop("input")
+    )
+    return None, wal
+
+
+def delta_with_a_short_shard_list(tmp):
+    wal = _crashed(
+        tmp / "wal", steps=len(STREAM), shards=2, checkpoint_interval=8
+    )
+    _rewrite_checkpoint(
+        _checkpoints(wal)[1],
+        lambda payload: payload["delta"]["shard_input"].pop(),
+    )
+    return None, wal
+
+
+def core_disagrees_with_the_chain(tmp):
+    """Every link reads fine on its own; together they reconstruct fewer
+    log entries than the latest core says it had."""
+    wal = _crashed(tmp / "wal", steps=len(STREAM), checkpoint_interval=8)
+
+    def edit(payload):
+        payload["core"]["scheduler_state"]["input_len"] += 1
+
+    _rewrite_checkpoint(_checkpoints(wal)[-1], edit)
+    return None, wal
+
+
+def sharded_core_disagrees_with_the_chain(tmp):
+    wal = _crashed(
+        tmp / "wal", steps=len(STREAM), shards=2, checkpoint_interval=8
+    )
+
+    def edit(payload):
+        payload["core"]["deleted_ids_len"] += 1
+
+    _rewrite_checkpoint(_checkpoints(wal)[-1], edit)
+    return None, wal
+
+
 def primary_checkpointed_past_the_follower(tmp):
     wal = tmp / "wal"
     durable = DurableEngine(
@@ -193,6 +242,8 @@ def primary_checkpointed_past_the_follower(tmp):
 
 
 TWO_TORN = (WalCorruptionError, "torn segment tails")
+MALFORMED_DELTA = (RecoveryError, "delta 2 of")
+LENGTH_MISMATCH = (RecoveryError, "history reconstructs")
 MID_SEGMENT = (WalCorruptionError, "not the segment tail")
 NOT_CONTIGUOUS = (WalCorruptionError, "not contiguous")
 
@@ -218,6 +269,11 @@ TABLE = [
      (RecoveryError, "chain is broken"), None),
     (coreless_latest_link, (RecoveryError, "has no core"),
      (RecoveryError, "has no core"), None),
+    (delta_lost_a_key, MALFORMED_DELTA, MALFORMED_DELTA, None),
+    (delta_with_a_short_shard_list, MALFORMED_DELTA, MALFORMED_DELTA, None),
+    (core_disagrees_with_the_chain, LENGTH_MISMATCH, LENGTH_MISMATCH, None),
+    (sharded_core_disagrees_with_the_chain, LENGTH_MISMATCH, LENGTH_MISMATCH,
+     None),
     (primary_checkpointed_past_the_follower, "ok", "same", 0),
 ]
 

@@ -1,4 +1,5 @@
-"""Tests for the adoption layer: GC facade, serialization, rendering, CLI."""
+"""Tests for the adoption layer: ``Engine.from_parts``, serialization,
+rendering, CLI."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from repro.analysis.visualize import render_ascii, render_dot
 from repro.cli import main as cli_main
 from repro.core.policies import EagerC1Policy, NeverDeletePolicy
+from repro.engine import Engine
 from repro.errors import ModelError, UnsafeDeletionError
 from repro.io import (
     graph_from_dict,
@@ -19,7 +21,6 @@ from repro.io import (
     schedule_from_list,
     schedule_to_list,
 )
-from repro.manager import GarbageCollectedScheduler
 from repro.model.schedule import Schedule
 from repro.model.status import AccessMode
 from repro.model.steps import BeginDeclared, Read
@@ -30,9 +31,9 @@ from repro.workloads.traces import example1_graph, example1_schedule
 from tests.conftest import basic_step_streams, graph_from_stream
 
 
-class TestGarbageCollectedScheduler:
+class TestEngineFromParts:
     def test_loop_deletes_and_counts(self):
-        gc = GarbageCollectedScheduler(
+        gc = Engine.from_parts(
             ConflictGraphScheduler(), EagerC1Policy(), verify_c2=True
         )
         gc.feed_many(example1_schedule())
@@ -42,7 +43,7 @@ class TestGarbageCollectedScheduler:
         assert "eager-c1" in repr(gc)
 
     def test_default_policy_keeps_everything(self):
-        gc = GarbageCollectedScheduler(ConflictGraphScheduler())
+        gc = Engine.from_parts(ConflictGraphScheduler())
         gc.feed_many(example1_schedule())
         assert gc.stats.deletions == 0
         assert len(gc.graph.completed_transactions()) == 2
@@ -54,14 +55,14 @@ class TestGarbageCollectedScheduler:
             def select(self, scheduler):
                 return frozenset(scheduler.graph.completed_transactions())
 
-        gc = GarbageCollectedScheduler(
+        gc = Engine.from_parts(
             ConflictGraphScheduler(), RoguePolicy(), verify_c2=True
         )
         with pytest.raises(UnsafeDeletionError):
             gc.feed_many(example1_schedule())
 
     def test_stats_dict(self):
-        gc = GarbageCollectedScheduler(ConflictGraphScheduler(), EagerC1Policy())
+        gc = Engine.from_parts(ConflictGraphScheduler(), EagerC1Policy())
         gc.feed_many(example1_schedule())
         payload = gc.stats.as_dict()
         assert payload["steps_fed"] == 8
@@ -70,7 +71,7 @@ class TestGarbageCollectedScheduler:
     def test_on_long_stream_matches_runner(self):
         config = WorkloadConfig(n_transactions=25, n_entities=6, seed=4)
         stream = basic_stream(config)
-        gc = GarbageCollectedScheduler(
+        gc = Engine.from_parts(
             ConflictGraphScheduler(), EagerC1Policy(), verify_c2=True
         )
         gc.feed_many(stream)

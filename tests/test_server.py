@@ -17,19 +17,25 @@ No pytest-asyncio in the image: tests run their own loops via
 from __future__ import annotations
 
 import asyncio
+import shutil
 import threading
 import time
 
 import pytest
 
 from repro.client import AsyncServingClient, ServingClient
+from repro.durability import recover
 from repro.engine import Engine, build_engine
 from repro.errors import (
     RequestRejectedError,
     TenantSaturatedError,
     UnknownTenantError,
 )
-from repro.io import wire_message_from_line, wire_message_to_line
+from repro.io import (
+    engine_snapshot_to_json,
+    wire_message_from_line,
+    wire_message_to_line,
+)
 from repro.model.steps import Begin, Finish, Read, Write
 from repro.server import ReproServer
 from repro.workloads.banking import BankingConfig, banking_stream
@@ -235,6 +241,66 @@ class TestDurableTenants:
         asyncio.run(_run())
 
 
+class TestFlushPendingOnEveryTenantShape:
+    """``flush_pending`` is part of the façade every engine answers: a
+    monolith defers nothing and says 0.  (It used to exist on every
+    durable engine yet raise ``AttributeError`` on a monolith, which the
+    worker classified as an infrastructure failure: one request cost the
+    tenant a demotion and a crash/recover cycle.)"""
+
+    STEPS = [
+        Begin("T1"), Read("T1", "x"), Write("T1", {"x"}),
+        Begin("T2"), Begin("T3"),  # no footprint yet: a router defers these
+    ]
+    MORE = [Read("T2", "y"), Write("T2", {"y"}), Begin("T4")]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_answers_a_count_and_never_demotes(self, tmp_path, durable, shards):
+        wal = tmp_path / "wal"
+        config = {"scheduler": "conflict-graph", "policy": "eager-c1"}
+        twin = build_engine(shards=shards, **config)
+        for step in self.STEPS:
+            twin.feed(step)
+        expected = twin.flush_pending()
+        assert expected == (2 if shards > 1 else 0)
+        for step in self.MORE:
+            twin.feed(step)
+
+        async def _run() -> None:
+            server = ReproServer()
+            host, port = await server.start()
+            try:
+                async with await AsyncServingClient.connect(host, port) as c:
+                    where = {"wal_dir": str(wal)} if durable else {}
+                    await c.create_tenant("t", shards=shards, **where, **config)
+                    await c.feed_batch("t", self.STEPS)
+                    assert await c.flush_pending("t") == expected
+                    await c.feed_batch("t", self.MORE)  # still taking writes
+                    info = await c.tenant_info("t")
+                    assert info["state"] == "serving"
+                    assert info["demotions"] == 0
+                    assert info["recover_attempts"] == 0
+                    assert info["last_error"] is None
+                    if durable:
+                        # A copy of the live directory carries no lock:
+                        # recovering it replays the logged control record.
+                        shutil.copytree(wal, tmp_path / "copy")
+            finally:
+                await server.close()
+
+        asyncio.run(_run())
+        if durable:
+            recovered = recover(tmp_path / "copy")
+            try:
+                assert recovered.recovery_info.replayed_controls == 1
+                assert engine_snapshot_to_json(
+                    recovered.engine.snapshot()
+                ) == engine_snapshot_to_json(twin.snapshot())
+            finally:
+                recovered.close()
+
+
 class TestProtocol:
     async def _raw_roundtrip(self, host, port, lines):
         reader, writer = await asyncio.open_connection(host, port)
@@ -273,6 +339,30 @@ class TestProtocol:
                 ]
                 # The connection survived all six errors.
                 assert responses[-1]["server"] == "repro"
+            finally:
+                await server.close()
+
+        asyncio.run(_run())
+
+    @pytest.mark.parametrize("shards", ["abc", 1.5, None, 0, True])
+    def test_create_with_malformed_shards_is_a_bad_request(self, shards):
+        """Not ``internal`` (a ``ValueError`` out of ``int()``), and not a
+        silent truncation of 1.5 to one shard."""
+
+        async def _run() -> None:
+            server = ReproServer()
+            host, port = await server.start()
+            try:
+                refused, listing = await self._raw_roundtrip(host, port, [
+                    wire_message_to_line(
+                        {"op": "create", "tenant": "t", "shards": shards}
+                    ).encode(),
+                    wire_message_to_line({"op": "tenants"}).encode(),
+                ])
+                assert not refused["ok"]
+                assert refused["error"]["code"] == "bad_request"
+                assert "'shards'" in refused["error"]["message"]
+                assert listing["tenants"] == []  # nothing was created
             finally:
                 await server.close()
 

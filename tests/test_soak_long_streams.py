@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.runner import run_with_policy
 from repro.core.bounds import irreducible_bound
+from repro.engine import Engine
 from repro.core.policies import (
     EagerC1Policy,
     EagerC4Policy,
@@ -19,7 +20,6 @@ from repro.core.policies import (
     NeverDeletePolicy,
     NoncurrentPolicy,
 )
-from repro.manager import GarbageCollectedScheduler
 from repro.scheduler.certifier import Certifier
 from repro.scheduler.conflict import ConflictGraphScheduler
 from repro.scheduler.locking import StrictTwoPhaseLocking
@@ -112,8 +112,8 @@ class TestLongVariantStreams:
         assert metrics.aborted_transactions == 0  # delays, never aborts
         assert metrics.deleted_transactions >= 140
 
-    def test_gc_facade_soak_with_verification(self):
-        gc = GarbageCollectedScheduler(
+    def test_adopted_parts_soak_with_verification(self):
+        gc = Engine.from_parts(
             ConflictGraphScheduler(), EagerC1Policy(), verify_c2=True
         )
         gc.feed_many(basic_stream(LONG))
