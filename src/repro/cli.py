@@ -51,6 +51,7 @@ deterministic; ``--help`` on each shows its knobs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Optional, Sequence
 
@@ -62,6 +63,7 @@ from repro.durability import DEFAULT_CHECKPOINT_INTERVAL
 from repro.engine import Engine, EngineConfig, ShardedEngine, build_engine
 from repro.errors import EngineError, RegistryError, SchedulerError
 from repro.io import graph_to_json
+from repro.server import ReproServer
 from repro.workloads.generator import (
     WorkloadConfig,
     basic_stream,
@@ -387,8 +389,6 @@ def _serve(args: argparse.Namespace) -> int:
     """Run the serving front-end until interrupted."""
     import asyncio
 
-    from repro.server import ReproServer
-
     fault_plan = None
     if getattr(args, "fault_plan", None):
         from repro.faults import FaultPlan
@@ -559,29 +559,37 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve", help="start the multi-tenant serving front-end"
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
+    # The flags' defaults are ReproServer's own, read off its signature.
+    parameters = inspect.signature(ReproServer).parameters
+    server_default = {name: p.default for name, p in parameters.items()}
+    serve_parser.add_argument("--host", default=server_default["host"])
     serve_parser.add_argument("--port", type=int, default=7453,
                               help="TCP port (0 = pick a free one; the "
                                    "bound port is printed on startup)")
-    serve_parser.add_argument("--queue-depth", type=int, default=4096,
+    serve_parser.add_argument("--queue-depth", type=int,
+                              default=server_default["max_queue_depth"],
                               help="per-tenant write backlog bound in steps "
                                    "(admission control rejects past it)")
-    serve_parser.add_argument("--yield-every", type=int, default=64,
+    serve_parser.add_argument("--yield-every", type=int,
+                              default=server_default["yield_every"],
                               help="cooperatively yield the event loop "
                                    "every N fed steps")
     serve_parser.add_argument("--fault-plan", default=None,
                               help="JSON fault-plan file (repro.faults."
                                    "FaultPlan.dump) injected into storage "
                                    "I/O and workers — chaos drills only")
-    serve_parser.add_argument("--recover-max-attempts", type=int, default=6,
+    serve_parser.add_argument("--recover-max-attempts", type=int,
+                              default=server_default["recover_max_attempts"],
                               help="recovery attempts per demotion before a "
                                    "tenant is declared permanently degraded")
-    serve_parser.add_argument("--recover-backoff", type=float, default=0.05,
+    serve_parser.add_argument("--recover-backoff", type=float,
+                              default=server_default["recover_backoff"],
                               help="initial recovery backoff (seconds)")
-    serve_parser.add_argument("--recover-backoff-cap", type=float, default=2.0,
+    serve_parser.add_argument("--recover-backoff-cap", type=float,
+                              default=server_default["recover_backoff_cap"],
                               help="max recovery backoff (seconds)")
     serve_parser.add_argument("--replica-poll-interval", type=float,
-                              default=0.02,
+                              default=server_default["replica_poll_interval"],
                               help="seconds between follower WAL polls")
     serve_parser.add_argument("--no-auto-promote", action="store_true",
                               help="disable supervisor-driven promotion of "

@@ -8,12 +8,12 @@ Two flavors over the same newline-delimited JSON protocol:
   loop, for the CLI, benchmarks, and tests that drive the server from
   synchronous code (or from another thread entirely).
 
-Error responses are raised as the matching :mod:`repro.errors` types:
+Error responses are raised as the :mod:`repro.errors` type the server
+raised, decoded through the table it encodes by (``WIRE_ERRORS``):
 ``saturated`` becomes :class:`TenantSaturatedError` (carrying the
-server's ``retry_after`` hint), ``degraded`` becomes
-:class:`TenantDegradedError`, ``unknown_tenant`` becomes
-:class:`UnknownTenantError`, and everything else surfaces as
-:class:`RequestRejectedError` with the machine-readable ``code``.
+``retry_after`` hint), ``degraded`` :class:`TenantDegradedError`, …, and
+a code outside the table a plain :class:`RequestRejectedError` with the
+machine-readable ``code``.
 
 Fault tolerance (added with the chaos work):
 
@@ -56,21 +56,22 @@ Replication awareness (added with the replica work):
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
 import random
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import (
     ConnectionDroppedError,
-    NotPrimaryError,
     ProtocolError,
     ReplicaLaggingError,
-    RequestRejectedError,
     RequestTimeoutError,
     RetriesExhaustedError,
     ServingError,
     TenantDegradedError,
     TenantSaturatedError,
     UnknownTenantError,
+    error_from_wire,
 )
 from repro.io import (
     step_result_from_dict,
@@ -86,33 +87,7 @@ __all__ = ["AsyncServingClient", "ServingClient"]
 def _raise_for_error(response: Dict[str, Any]) -> Dict[str, Any]:
     if response.get("ok"):
         return response
-    error = response.get("error") or {}
-    code = error.get("code", "error")
-    message = error.get("message", "request failed")
-    if code == "saturated":
-        exc = TenantSaturatedError(message, float(error.get("retry_after", 0.0)))
-        raise exc
-    if code == "degraded":
-        raise TenantDegradedError(
-            message,
-            retry_after=float(error.get("retry_after", 0.0)),
-            exhausted=bool(error.get("exhausted", False)),
-        )
-    if code == "unknown_tenant":
-        raise UnknownTenantError(error.get("tenant", message))
-    if code == "not_primary":
-        raise NotPrimaryError(
-            message, primary_wal_dir=str(error.get("primary_wal_dir", ""))
-        )
-    if code == "replica_lagging":
-        raise ReplicaLaggingError(
-            message,
-            lag_seq=int(error.get("lag_seq", 0)),
-            lag_seconds=float(error.get("lag_seconds", 0.0)),
-            max_lag=int(error.get("max_lag", 0)),
-            retry_after=float(error.get("retry_after", 0.0)),
-        )
-    raise RequestRejectedError(code, message)
+    raise error_from_wire(response.get("error") or {})
 
 
 class AsyncServingClient:
@@ -669,99 +644,8 @@ class ServingClient:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return self._run(self._client.request(payload))
-
-    def ping(self) -> Dict[str, Any]:
-        return self._run(self._client.ping())
-
-    def catalog(self) -> Dict[str, Any]:
-        return self._run(self._client.catalog())
-
-    def create_tenant(self, tenant: str, **kwargs: Any) -> Dict[str, Any]:
-        return self._run(self._client.create_tenant(tenant, **kwargs))
-
-    def open_tenant(self, tenant: str, wal_dir: str) -> Dict[str, Any]:
-        return self._run(self._client.open_tenant(tenant, wal_dir))
-
-    def close_tenant(self, tenant: str) -> Dict[str, Any]:
-        return self._run(self._client.close_tenant(tenant))
-
-    def tenants(self) -> List[Dict[str, Any]]:
-        return self._run(self._client.tenants())
-
-    def tenant_info(self, tenant: str) -> Dict[str, Any]:
-        return self._run(self._client.tenant_info(tenant))
-
-    def feed(self, tenant: str, step) -> Any:
-        return self._run(self._client.feed(tenant, step))
-
-    def feed_batch(
-        self, tenant: str, steps: Iterable[Any], *, results: bool = False
-    ) -> Dict[str, Any]:
-        return self._run(
-            self._client.feed_batch(tenant, list(steps), results=results)
-        )
-
-    def feed_all(
-        self, tenant: str, steps: Iterable[Any], *, chunk: int = 256,
-        max_retries: int = 64, backoff: float = 0.01,
-        backoff_cap: float = 1.0,
-    ) -> Dict[str, int]:
-        return self._run(
-            self._client.feed_all(
-                tenant, list(steps), chunk=chunk, max_retries=max_retries,
-                backoff=backoff, backoff_cap=backoff_cap,
-            )
-        )
-
-    def feed_resumable(
-        self, tenant: str, steps: Iterable[Any], *, chunk: int = 256,
-        max_retries: int = 16, max_polls: int = 200, backoff: float = 0.01,
-        backoff_cap: float = 1.0, failover_to: Optional[str] = None,
-    ) -> Dict[str, int]:
-        return self._run(
-            self._client.feed_resumable(
-                tenant, list(steps), chunk=chunk, max_retries=max_retries,
-                max_polls=max_polls, backoff=backoff,
-                backoff_cap=backoff_cap, failover_to=failover_to,
-            )
-        )
-
-    def sweep(self, tenant: str) -> List[Any]:
-        return self._run(self._client.sweep(tenant))
-
-    def flush_pending(self, tenant: str) -> int:
-        return self._run(self._client.flush_pending(tenant))
-
-    def promote(self, tenant: str) -> Dict[str, Any]:
-        return self._run(self._client.promote(tenant))
-
     def route_reads(self, tenant: str, replica: Optional[str]) -> None:
         self._client.route_reads(tenant, replica)
-
-    def audit(
-        self, tenant: str, txn: Any, *, max_lag: Optional[int] = None,
-        prefer_replica: bool = False,
-    ) -> Dict[str, Any]:
-        return self._run(
-            self._client.audit(
-                tenant, txn, max_lag=max_lag, prefer_replica=prefer_replica
-            )
-        )
-
-    def query(
-        self, tenant: str, what: str, *, max_lag: Optional[int] = None,
-        prefer_replica: bool = False,
-    ) -> Any:
-        return self._run(
-            self._client.query(
-                tenant, what, max_lag=max_lag, prefer_replica=prefer_replica
-            )
-        )
-
-    def metrics(self) -> Dict[str, Any]:
-        return self._run(self._client.metrics())
 
     @property
     def clamped_hints(self) -> int:
@@ -770,3 +654,27 @@ class ServingClient:
     @property
     def replica_fallbacks(self) -> int:
         return self._client.replica_fallbacks
+
+
+def _blocking(method):
+    """The blocking form of one :class:`AsyncServingClient` coroutine
+    method: same name, signature, defaults and docstring."""
+
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        return self._run(method(self._client, *args, **kwargs))
+
+    return call
+
+
+# Every public verb of the async client, so a verb (or a default) cannot
+# be added to one client only.  ``close`` also tears down the loop and
+# is written out above.
+for _name, _method in vars(AsyncServingClient).items():
+    if (
+        not _name.startswith("_")
+        and _name != "close"
+        and inspect.iscoroutinefunction(_method)
+    ):
+        setattr(ServingClient, _name, _blocking(_method))
+del _name, _method

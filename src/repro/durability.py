@@ -604,8 +604,6 @@ class DurableEngine(BatchFacade):
         its last sweep is swept."""
         self._control("flush", self._inner.flush)
 
-    flush_and_sweep = flush  # the epilogue's older name, still logged
-
     # -- checkpoints ---------------------------------------------------------------
 
     def checkpoint(self) -> Optional[int]:

@@ -9,6 +9,8 @@ deletion-safety violations.
 
 from __future__ import annotations
 
+from typing import Any, Callable, Dict, Tuple
+
 __all__ = [
     "ReproError",
     "ModelError",
@@ -47,6 +49,9 @@ __all__ = [
     "ConnectionDroppedError",
     "RequestTimeoutError",
     "RetriesExhaustedError",
+    "WIRE_ERRORS",
+    "error_to_wire",
+    "error_from_wire",
 ]
 
 
@@ -275,8 +280,15 @@ class ProtocolError(ServingError):
     ``op`` field, or carrying fields of the wrong shape."""
 
 
+#: ``(field, decode)`` pairs in wire order — see :data:`WIRE_ERRORS`.
+_WireFields = Tuple[Tuple[str, Callable[[Any], Any]], ...]
+
+
 class UnknownTenantError(ServingError, KeyError):
     """A request addressed a tenant the server does not host."""
+
+    wire_code = "unknown_tenant"
+    wire_fields: _WireFields = (("tenant", lambda tenant: tenant),)
 
     def __init__(self, tenant: object) -> None:
         super().__init__(f"unknown tenant: {tenant!r}")
@@ -292,7 +304,14 @@ class RequestRejectedError(ServingError):
     Carries the machine-readable ``code`` from the wire (e.g.
     ``"saturated"``, ``"unknown_tenant"``, ``"bad_request"``) so clients
     can branch without parsing the human-readable message.
+
+    A subclass carries more than a message: it declares its wire
+    ``code`` and, in wire order, its ``error`` fields with the type each
+    decodes to — once, for the server's encoder and the client's decoder
+    alike (:data:`WIRE_ERRORS`).
     """
+
+    wire_fields: _WireFields = ()
 
     def __init__(self, code: str, message: str) -> None:
         super().__init__(f"[{code}] {message}")
@@ -307,8 +326,11 @@ class TenantSaturatedError(RequestRejectedError):
     will free up, derived from the tenant's recent drain rate.
     """
 
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__("saturated", message)
+    wire_code = "saturated"
+    wire_fields = (("retry_after", float),)
+
+    def __init__(self, message: str, retry_after: float = 0.0) -> None:
+        super().__init__(self.wire_code, message)
         self.retry_after = retry_after
 
 
@@ -324,11 +346,14 @@ class TenantDegradedError(RequestRejectedError):
     own — an operator must intervene).
     """
 
+    wire_code = "degraded"
+    wire_fields = (("retry_after", float), ("exhausted", bool))
+
     def __init__(
         self, message: str, *, retry_after: float = 0.0,
         exhausted: bool = False,
     ) -> None:
-        super().__init__("degraded", message)
+        super().__init__(self.wire_code, message)
         self.retry_after = retry_after
         self.exhausted = exhausted
 
@@ -342,8 +367,11 @@ class NotPrimaryError(RequestRejectedError):
     ``promote`` if the primary is gone).
     """
 
+    wire_code = "not_primary"
+    wire_fields = (("primary_wal_dir", str),)
+
     def __init__(self, message: str, *, primary_wal_dir: str = "") -> None:
-        super().__init__("not_primary", message)
+        super().__init__(self.wire_code, message)
         self.primary_wal_dir = primary_wal_dir
 
 
@@ -356,15 +384,60 @@ class ReplicaLaggingError(RequestRejectedError):
     fall back to the primary.
     """
 
+    wire_code = "replica_lagging"
+    wire_fields = (
+        ("lag_seq", int), ("lag_seconds", float), ("max_lag", int),
+        ("retry_after", float),
+    )
+
     def __init__(
         self, message: str, *, lag_seq: int = 0, lag_seconds: float = 0.0,
         max_lag: int = 0, retry_after: float = 0.0,
     ) -> None:
-        super().__init__("replica_lagging", message)
+        super().__init__(self.wire_code, message)
         self.lag_seq = lag_seq
         self.lag_seconds = lag_seconds
         self.max_lag = max_lag
         self.retry_after = retry_after
+
+
+#: Wire code -> the class whose ``error`` carries fields beyond ``code``
+#: and ``message``; any other code is a plain :class:`RequestRejectedError`.
+WIRE_ERRORS: Dict[str, type] = {
+    cls.wire_code: cls
+    for cls in (TenantSaturatedError, TenantDegradedError, NotPrimaryError,
+                ReplicaLaggingError, UnknownTenantError)
+}
+
+
+def error_to_wire(exc: Exception) -> Dict[str, Any]:
+    """The ``error`` object for a :class:`RequestRejectedError` or an
+    :class:`UnknownTenantError` (a ``KeyError`` that builds its message
+    from ``tenant``): ``code``, ``message``, then the declared fields."""
+    if isinstance(exc, RequestRejectedError):
+        error = {"code": exc.code, "message": exc.message}
+    else:
+        error = {"code": exc.wire_code, "message": str(exc)}
+    for name, _decode in exc.wire_fields:
+        error[name] = getattr(exc, name)
+    return error
+
+
+def error_from_wire(error: Dict[str, Any]) -> Exception:
+    """Inverse of :func:`error_to_wire`, for the client to raise.  A
+    field the server left out takes the class's own default."""
+    code = error.get("code", "error")
+    message = error.get("message", "request failed")
+    cls = WIRE_ERRORS.get(code)
+    if cls is None:
+        return RequestRejectedError(code, message)
+    fields = {
+        name: decode(error[name]) for name, decode in cls.wire_fields
+        if name in error
+    }
+    if cls is UnknownTenantError:
+        return cls(fields.get("tenant", message))
+    return cls(message, **fields)
 
 
 class ConnectionDroppedError(ServingError):

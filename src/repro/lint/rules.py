@@ -88,8 +88,9 @@ class RawSyscallRule(Rule):
         "syscall goes through the injectable StorageIO shim (PR 7); a "
         "raw open/fsync/replace/truncate is invisible to fault plans."
     )
-    paths = ("durability.py", "replication.py", "server.py",
-             "*/durability.py", "*/replication.py", "*/server.py")
+    paths = ("durability.py", "replication.py", "server.py", "tenant.py",
+             "*/durability.py", "*/replication.py", "*/server.py",
+             "*/tenant.py")
     blessed = ("faults.py", "io.py", "*/faults.py", "*/io.py")
 
     _OS_CALLS = {"open", "fdopen", "fsync", "fdatasync", "replace",
@@ -504,7 +505,8 @@ class BlockingInAsyncRule(Rule):
         "inside a coroutine stalls every tenant on the loop.  Blocking "
         "work belongs in run_in_executor."
     )
-    paths = ("server.py", "client.py", "*/server.py", "*/client.py")
+    paths = ("server.py", "client.py", "tenant.py",
+             "*/server.py", "*/client.py", "*/tenant.py")
 
     _BLOCKING = {
         "time.sleep": "time.sleep() blocks the event loop; use "

@@ -407,9 +407,9 @@ class TestRecoveryFailures:
         with pytest.raises(RecoveryError, match="MANIFEST"):
             recover(tmp_path / "wal")
 
-    def test_flush_and_sweep_is_wal_logged(self, tmp_path):
-        """``flush`` under its older name must not bypass the WAL (an
-        un-logged sweep would not survive a crash)."""
+    def test_flush_is_wal_logged(self, tmp_path):
+        """``flush`` must not bypass the WAL (an un-logged sweep would
+        not survive a crash)."""
         stream = _stream()
         durable = DurableEngine(
             scheduler="conflict-graph", policy="eager-c1",
@@ -417,7 +417,7 @@ class TestRecoveryFailures:
             sweep_interval=1000,
         )
         durable.feed_many(stream[:25])
-        durable.flush_and_sweep()
+        durable.flush()
         deletions = durable.stats.deletions
         assert deletions > 0
         durable.simulate_crash()

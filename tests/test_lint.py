@@ -98,6 +98,13 @@ class TestRawSyscall:
     def test_out_of_scope_files_are_exempt(self):
         assert not findings_for(RawSyscallRule(), unit("engine.py", RAW_BAD))
 
+    def test_the_tenant_module_is_under_the_net(self):
+        """Rules select files by name: the supervision code moved out of
+        ``server.py`` must not have left the net by moving."""
+        for path in ("tenant.py", "src/repro/tenant.py"):
+            found = findings_for(RawSyscallRule(), unit(path, RAW_BAD))
+            assert {f.line for f in found} == {5, 7, 8}, path
+
     def test_method_open_on_path_objects_fires(self):
         source = """
             def tail(path):
@@ -428,6 +435,19 @@ class TestBlockingInAsync:
             BlockingInAsyncRule(), unit("server.py", source)
         )
 
+    def test_the_tenant_module_is_under_the_net(self):
+        for path in ("tenant.py", "src/repro/tenant.py"):
+            found = findings_for(BlockingInAsyncRule(), unit(path, ASYNC_BAD))
+            assert [f.scope for f in found] == ["handler"], path
+        source = """
+            import os
+
+            async def heal(handle):
+                os.fsync(handle.fileno())
+        """
+        found = findings_for(BlockingInAsyncRule(), unit("tenant.py", source))
+        assert len(found) == 1 and "os.fsync" in found[0].message
+
     def test_blocking_open_fires(self):
         source = """
             async def read_config(path):
@@ -754,7 +774,8 @@ class TestSelfRun:
         import re
 
         root = default_root()
-        for name in ("durability.py", "replication.py", "server.py"):
+        for name in ("durability.py", "replication.py", "server.py",
+                     "tenant.py"):
             text = (root / name).read_text()
             assert "ShardedEngine" not in text, name
             assert not re.search(r"\b_sharded\b|\.sharded\b", text), name
@@ -780,6 +801,73 @@ class TestSelfRun:
             for name in ("engine.py", "durability.py")
         )
         assert batch_defs == 1
+
+    def test_serving_is_split_at_the_tenant_boundary(self):
+        """One owner per decision: ``tenant.py`` owns a tenant's
+        lifecycle and knows no wire; ``server.py`` owns names and the
+        wire and writes no lifecycle state; the per-class field lists of
+        the wire error format live in ``errors.py`` only."""
+        import ast
+        import inspect
+        import re
+
+        from repro import client, server
+
+        root = default_root()
+        lifecycle = {
+            "state", "demotions", "demoted_at", "recoveries",
+            "downtime_seconds", "recovery_exhausted", "next_retry_at",
+        }
+
+        def assigned_attributes(tree):
+            for node in ast.walk(tree):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Attribute):
+                            yield leaf.attr, node.lineno
+
+        server_tree = ast.parse((root / "server.py").read_text())
+        written = [
+            (attr, line) for attr, line in assigned_attributes(server_tree)
+            if attr in lifecycle
+        ]
+        assert not written, f"server.py writes lifecycle state: {written}"
+
+        # ... and inside tenant.py, only the two methods that own them.
+        tenant_tree = ast.parse((root / "tenant.py").read_text())
+        for node in ast.walk(tenant_tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in ("__init__", "_transition", "_back_off"):
+                    continue
+                inside = [a for a, _ in assigned_attributes(node) if a in lifecycle]
+                assert not inside, f"tenant.py {node.name} writes {inside}"
+
+        # No ReproServer method takes a tenant first, except the hook
+        # that picks an auto-promote target from the registry.
+        takers = [
+            name for name, fn in vars(server.ReproServer).items()
+            if inspect.isfunction(fn)
+            and list(inspect.signature(fn).parameters)[1:2] in (["tenant"], ["failed"])
+        ]
+        assert takers == ["_spawn_auto_promote"]
+
+        tenant_text = (root / "tenant.py").read_text()
+        assert not re.search(r"wire_message|step_from_dict|step_result_to_dict"
+                             r"|from repro\.io|import json", tenant_text)
+        assert "start_server" not in tenant_text
+        assert "ReproServer" not in re.sub(r'""".*?"""', "", tenant_text, flags=re.S)
+
+        for function in (server.ReproServer._dispatch_line,
+                         client._raise_for_error):
+            body = inspect.getsource(function)
+            for field in ("retry_after", "primary_wal_dir", "lag_seq",
+                          "exhausted", "max_lag"):
+                assert field not in body, (function.__qualname__, field)
 
     def test_committed_baseline_is_empty(self):
         repo_root = pathlib.Path(__file__).resolve().parent.parent

@@ -17,17 +17,23 @@ No pytest-asyncio in the image: tests run their own loops via
 from __future__ import annotations
 
 import asyncio
+import inspect
 import shutil
 import threading
 import time
 
 import pytest
 
-from repro.client import AsyncServingClient, ServingClient
+from repro import errors
+from repro.client import AsyncServingClient, ServingClient, _raise_for_error
 from repro.durability import recover
 from repro.engine import Engine, build_engine
 from repro.errors import (
+    WIRE_ERRORS,
+    NotPrimaryError,
+    ReplicaLaggingError,
     RequestRejectedError,
+    TenantDegradedError,
     TenantSaturatedError,
     UnknownTenantError,
 )
@@ -37,7 +43,7 @@ from repro.io import (
     wire_message_to_line,
 )
 from repro.model.steps import Begin, Finish, Read, Write
-from repro.server import ReproServer
+from repro.server import ReproServer, serve
 from repro.workloads.banking import BankingConfig, banking_stream
 
 
@@ -413,6 +419,138 @@ class TestProtocol:
                 await server.close()
 
         asyncio.run(_run())
+
+
+class TestWireErrorTable:
+    """One table (``repro.errors.WIRE_ERRORS``) is the wire format of
+    every structured refusal, for the server's encoder and the client's
+    decoder alike."""
+
+    RAISED = [
+        TenantSaturatedError("queue is full", retry_after=0.25),
+        TenantDegradedError("degraded", retry_after=1.5, exhausted=True),
+        NotPrimaryError("replica", primary_wal_dir="/var/wal/acme"),
+        ReplicaLaggingError(
+            "behind", lag_seq=7, lag_seconds=0.5, max_lag=2, retry_after=0.02
+        ),
+        UnknownTenantError("ghost"),
+        RequestRejectedError("too_large", "split it"),
+    ]
+
+    @pytest.mark.parametrize("raised", RAISED, ids=lambda e: type(e).__name__)
+    def test_round_trip_server_to_client(self, raised):
+        """Raise inside a verb, through ``_dispatch_line`` and the line
+        codec, out of ``_raise_for_error``: same class, equal fields."""
+
+        async def _run():
+            server = ReproServer()
+
+            async def _op_boom(request):
+                raise raised
+
+            server._op_boom = _op_boom
+            request = wire_message_to_line({"op": "boom", "id": 3})
+            return await server._dispatch_line(request.encode())
+
+        response = wire_message_from_line(
+            wire_message_to_line(asyncio.run(_run()))
+        )
+        assert response["ok"] is False and response["id"] == 3
+        fields = [name for name, _kind in type(raised).wire_fields]
+        assert sorted(response["error"]) == sorted(["code", "message"] + fields)
+        with pytest.raises(type(raised)) as info:
+            _raise_for_error(response)
+        decoded = info.value
+        assert type(decoded) is type(raised)
+        assert str(decoded) == str(raised)
+        for name in fields:
+            assert getattr(decoded, name) == getattr(raised, name), name
+            assert type(getattr(decoded, name)) is type(getattr(raised, name))
+        if isinstance(raised, RequestRejectedError):
+            assert decoded.code == raised.code == response["error"]["code"]
+
+    def test_every_refusal_class_is_in_the_table(self):
+        declared = {
+            cls for cls in vars(errors).values()
+            if isinstance(cls, type)
+            and issubclass(cls, RequestRejectedError)
+            and cls is not RequestRejectedError
+        }
+        assert declared <= set(WIRE_ERRORS.values())
+        assert set(WIRE_ERRORS.values()) - declared == {UnknownTenantError}
+        for code, cls in WIRE_ERRORS.items():
+            assert cls.wire_code == code and cls.wire_fields
+
+    def test_missing_fields_take_the_class_defaults(self):
+        for code, cls in WIRE_ERRORS.items():
+            with pytest.raises(cls):
+                _raise_for_error(
+                    {"ok": False, "error": {"code": code, "message": "m"}}
+                )
+        with pytest.raises(RequestRejectedError) as info:
+            _raise_for_error({"ok": False})
+        assert info.value.code == "error"
+
+    def test_wire_key_order_is_code_message_then_fields(self):
+        error = errors.error_to_wire(
+            ReplicaLaggingError("m", lag_seq=1, max_lag=0)
+        )
+        assert list(error) == [
+            "code", "message", "lag_seq", "lag_seconds", "max_lag",
+            "retry_after",
+        ]
+
+
+class TestDefaultsStatedOnce:
+    def test_blocking_client_mirrors_every_async_verb(self):
+        verbs = [
+            name for name, method in vars(AsyncServingClient).items()
+            if not name.startswith("_") and inspect.iscoroutinefunction(method)
+        ]
+        assert len(verbs) >= 19 and "feed_resumable" in verbs
+        for name in verbs:
+            blocking = getattr(ServingClient, name)
+            assert not inspect.iscoroutinefunction(blocking), name
+            if name == "close":  # also tears the private loop down
+                continue
+            method = getattr(AsyncServingClient, name)
+            assert inspect.signature(blocking) == inspect.signature(method), name
+            assert blocking.__doc__ == method.__doc__, name
+
+    def test_serve_passes_the_servers_keywords_through(self):
+        async def _run() -> None:
+            server = await serve(
+                tenants={"t": {"scheduler": "conflict-graph", "policy": "never"}},
+                max_queue_depth=5, replica_poll_interval=0.5,
+            )
+            try:
+                assert server.max_queue_depth == 5
+                assert server.replica_poll_interval == 0.5
+                assert server.yield_every == ReproServer().yield_every
+                assert [t["tenant"] for t in server.tenants()] == ["t"]
+            finally:
+                await server.close()
+            with pytest.raises(TypeError):
+                await serve(no_such_option=1)
+
+        asyncio.run(_run())
+
+    def test_serve_flags_default_to_the_servers_defaults(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve"])
+        server = ReproServer()
+        for flag, attribute in [
+            ("host", "host"),
+            ("queue_depth", "max_queue_depth"),
+            ("yield_every", "yield_every"),
+            ("recover_max_attempts", "recover_max_attempts"),
+            ("recover_backoff", "recover_backoff"),
+            ("recover_backoff_cap", "recover_backoff_cap"),
+            ("replica_poll_interval", "replica_poll_interval"),
+        ]:
+            assert getattr(args, flag) == getattr(server, attribute), flag
+        assert server.auto_promote is not args.no_auto_promote
 
 
 class TestSyncClient:
