@@ -20,9 +20,12 @@ its *prefix* becomes deletable the moment a checkpoint covers it.  Here:
   written atomically (tmp file + fsync + ``os.replace``) together with a
   **delta**, its ``history_since`` the previous checkpoint.  What counts
   as history is the engine's business (the history protocol in
-  :mod:`repro.engine`): this module stores marks, cores and deltas and
-  never looks inside them.  Per-checkpoint cost is O(live state +
-  interval), not O(history) — checkpoints stay cheap forever, which is
+  :mod:`repro.engine`; entries are written as positional history rows,
+  :func:`repro.io.history_result_to_row`): this module stores marks,
+  cores and deltas and never looks inside them.  Per-checkpoint cost is
+  O(live state + interval), not O(history), for every scheduler — a
+  core's only history-sized residue is one id per aborted transaction
+  (the id-reuse guard) — so checkpoints stay cheap forever, which is
   what makes a small interval affordable (benchmarked in E17).
 * **Truncation** — segments are grouped into *epochs* that roll at each
   checkpoint; once the checkpoint is durably on disk every segment of an
@@ -97,7 +100,7 @@ __all__ = [
 MANIFEST_FORMAT = 1
 MANIFEST_KIND = "wal-manifest"
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 CHECKPOINT_KIND = "durability-checkpoint"
 
 _SEGMENTS_DIR = "segments"

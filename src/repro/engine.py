@@ -35,14 +35,16 @@ runner, the durability and serving layers — goes through :class:`Engine`:
   :mod:`repro.io` serializers; :meth:`Engine.restore` rebuilds a live
   engine that continues exactly where the snapshot left off.
 * **History protocol** — which lists grow with *history* rather than
-  with live state (step results, the input log, the ordered deletion
-  log) is the engine's business, stated once: ``snapshot(include_logs=
-  False)`` is the complete history-free core, ``history_marks()`` says
-  how much history exists, ``history_since(marks)`` returns the
-  JSON-ready tails, and ``repro.io.restore_engine(core, history=tails)``
-  splices them back (``splice_history``).  :class:`ShardedEngine`
-  composes the same three from its shards', so incremental checkpoints
-  never learn which engine they hold.
+  with live state (step results, the input log, a delaying scheduler's
+  execution order, the ordered deletion log) is the engine's business,
+  stated once: ``snapshot(include_logs=False)`` is the complete
+  history-free core, ``history_marks()`` says how much history exists,
+  ``history_since(marks)`` returns the tails as JSON-ready history rows
+  (:func:`repro.io.history_result_to_row`), and
+  ``repro.io.restore_engine(core, history=tails)`` splices them back
+  (``splice_history``).  :class:`ShardedEngine` composes the same three
+  from its shards', so incremental checkpoints never learn which engine
+  they hold.
 
 >>> engine = Engine(scheduler="conflict-graph", policy="eager-c1",
 ...                 sweep_interval=2, verify_c2=True)
@@ -102,8 +104,8 @@ __all__ = [
     "build_engine",
 ]
 
-SNAPSHOT_FORMAT = 1
-SHARDED_SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
+SHARDED_SNAPSHOT_FORMAT = 2
 SHARDED_SNAPSHOT_KIND = "sharded-engine"
 
 _BEGIN_STEPS = (Begin, BeginDeclared)
@@ -953,14 +955,20 @@ class Engine(_EngineFacade):
         place, from the ordered :meth:`history_since` tails covering it.
         A tail that is malformed, or lengths that disagree with the
         core's markers, raise :class:`~repro.errors.SnapshotError`."""
-        Engine._install_history(
-            core, *_gather_history(deltas, "results", "input", "deleted")
-        )
+        Engine._install_history(core, deltas)
 
     @staticmethod
-    def _install_history(core, results, inputs, deleted) -> None:
+    def _install_history(core, deltas, *, shard: Optional[int] = None) -> None:
+        """Splice the tails this *core* needs (its scheduler's logs, then
+        deletions) — from a sharded delta's ``shard_<key>`` lists when
+        *shard* is given."""
+        keys = SchedulerBase.history_keys(core["scheduler_state"])
+        prefix = "" if shard is None else "shard_"
+        *logs, deleted = _gather_history(
+            deltas, *(prefix + key for key in keys + ("deleted",)), shard=shard
+        )
         SchedulerBase.splice_history(
-            core["scheduler_state"], results, inputs, deleted
+            core["scheduler_state"], dict(zip(keys, logs)), deleted
         )
         # Deletion order here; the graph's tombstone list is sorted.
         core["stats"]["deleted_ids"] = deleted
@@ -1458,7 +1466,7 @@ class ShardedEngine(_EngineFacade):
         :meth:`Engine.snapshot`: length markers replace the global result
         and deletion logs, and every shard contributes its own core.
         """
-        from repro.io import step_result_to_dict, step_to_dict
+        from repro.io import history_result_to_row, step_to_dict
 
         payload = {
             "format": SHARDED_SNAPSHOT_FORMAT,
@@ -1485,7 +1493,7 @@ class ShardedEngine(_EngineFacade):
         if include_logs:
             payload["deleted_ids"] = list(self._deleted_ids)
             payload["results"] = [
-                step_result_to_dict(r) for r in self._results
+                history_result_to_row(r) for r in self._results
             ]
         else:
             payload["deleted_ids_len"] = len(self._deleted_ids)
@@ -1502,21 +1510,23 @@ class ShardedEngine(_EngineFacade):
         }
 
     def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.io import step_result_to_dict
+        """The global result and deletion tails, and every shard's tails
+        regrouped per key: ``shard_<key>`` holds one list per shard."""
+        from repro.io import history_result_to_row
 
         tails = [
             engine.history_since(shard_marks)
             for engine, shard_marks in zip(self._engines, marks["shards"])
         ]
-        return {
+        delta = {
             "results": [
-                step_result_to_dict(r) for r in self._results[marks["results"] :]
+                history_result_to_row(r) for r in self._results[marks["results"] :]
             ],
             "deleted": list(self._deleted_ids[marks["deleted"] :]),
-            "shard_results": [tail["results"] for tail in tails],
-            "shard_input": [tail["input"] for tail in tails],
-            "shard_deleted": [tail["deleted"] for tail in tails],
         }
+        for key in tails[0]:
+            delta["shard_" + key] = [tail[key] for tail in tails]
+        return delta
 
     @staticmethod
     def splice_history(core: Dict[str, Any], deltas) -> None:
@@ -1528,13 +1538,7 @@ class ShardedEngine(_EngineFacade):
             core, "deleted_ids_len", deleted, "deleted ids"
         )
         for shard, shard_core in enumerate(core["shards"]):
-            Engine._install_history(
-                shard_core,
-                *_gather_history(
-                    deltas, "shard_results", "shard_input", "shard_deleted",
-                    shard=shard,
-                ),
-            )
+            Engine._install_history(shard_core, deltas, shard=shard)
 
     @classmethod
     def restore(
@@ -1544,7 +1548,7 @@ class ShardedEngine(_EngineFacade):
         observers: Iterable[EngineObserver] = (),
     ) -> "ShardedEngine":
         """Rebuild a live sharded engine from a :meth:`snapshot` payload."""
-        from repro.io import step_from_dict, step_result_from_dict
+        from repro.io import history_result_from_row, step_from_dict
 
         if not isinstance(snapshot, dict):
             raise SnapshotError(
@@ -1597,7 +1601,7 @@ class ShardedEngine(_EngineFacade):
                 counters["peak_completed_total"]
             )
             engine._results = [
-                step_result_from_dict(d) for d in snapshot["results"]
+                history_result_from_row(row) for row in snapshot["results"]
             ]
             engine._extra_observers = []
         except (KeyError, ValueError, TypeError) as exc:

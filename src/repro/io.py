@@ -43,6 +43,10 @@ __all__ = [
     "step_from_dict",
     "step_result_to_dict",
     "step_result_from_dict",
+    "history_step_to_row",
+    "history_step_from_row",
+    "history_result_to_row",
+    "history_result_from_row",
     "currency_to_dict",
     "currency_from_dict",
     "schedule_to_list",
@@ -299,25 +303,27 @@ def step_from_dict(item: Dict[str, Any]) -> Step:
     """Inverse of :func:`step_to_dict`.
 
     Raises :class:`ModelError` (naming the offending field) on truncated
-    or type-mangled payloads — never a raw ``KeyError``.
+    or type-mangled payloads — never a raw ``KeyError``.  Ids must be
+    strings and ``entities`` a list of them: a string there would
+    otherwise be read as its characters.
     """
     kind = _require_section(item, "kind", "step payload")
     try:
+        txn = _id(item["txn"], "txn")
         if kind == "begin":
-            return Begin(item["txn"])
+            return Begin(txn)
         if kind == "begin_declared":
-            return BeginDeclared(
-                item["txn"],
-                {e: AccessMode[m] for e, m in item["declared"].items()},
-            )
+            return BeginDeclared(txn, _declared(item["declared"]))
         if kind == "read":
-            return Read(item["txn"], item["entity"])
+            return Read(txn, _id(item["entity"], "entity"))
         if kind == "write":
-            return Write(item["txn"], frozenset(item["entities"]))
+            return Write(txn, frozenset(_ids(item["entities"], "entities")))
         if kind == "write_item":
-            return WriteItem(item["txn"], item["entity"])
+            return WriteItem(txn, _id(item["entity"], "entity"))
         if kind == "finish":
-            return Finish(item["txn"])
+            return Finish(txn)
+    except ModelError as exc:
+        raise ModelError(f"step payload of kind {kind!r}: {exc}") from exc
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ModelError(
             f"step payload of kind {kind!r} has a missing or invalid "
@@ -355,27 +361,217 @@ def step_result_to_dict(result) -> Dict[str, Any]:
 
 
 def step_result_from_dict(item: Dict[str, Any]):
-    """Inverse of :func:`step_result_to_dict`."""
-    from repro.scheduler.events import Decision, StepResult
+    """Inverse of :func:`step_result_to_dict`.
 
+    As strict as :func:`step_from_dict`: ids are strings, every list
+    field is a list, and an arc is a ``[tail, head]`` pair.
+    """
     step = _require_section(item, "step", "step-result payload")
     decision = _require_section(item, "decision", "step-result payload")
     try:
         return StepResult(
             step=step_from_dict(step),
             decision=Decision(decision),
-            arcs_added=tuple(tuple(arc) for arc in item.get("arcs_added", ())),
-            aborted=tuple(item.get("aborted", ())),
-            committed=tuple(item.get("committed", ())),
-            released=tuple(step_from_dict(s) for s in item.get("released", ())),
-            blocked_on=tuple(item.get("blocked_on", ())),
+            arcs_added=_arcs(item.get("arcs_added", []), "arcs_added"),
+            aborted=_ids(item.get("aborted", []), "aborted"),
+            committed=_ids(item.get("committed", []), "committed"),
+            released=tuple(
+                step_from_dict(s)
+                for s in _list(item.get("released", []), "released")
+            ),
+            blocked_on=_ids(item.get("blocked_on", []), "blocked_on"),
         )
-    except ModelError:
-        raise
+    except ModelError as exc:
+        raise ModelError(f"step-result payload: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ModelError(
             f"step-result payload has an invalid section: {exc!r}"
         ) from exc
+
+
+# ---------------------------------------------------------------------------
+# History rows (snapshot logs and checkpoint deltas)
+# ---------------------------------------------------------------------------
+#
+# Every list that grows with history — a scheduler's input, result and
+# execution logs, a sharded engine's global results — is written as
+# positional rows, not as the self-describing dicts above: a history
+# entry is written once per step and read back only by a restore, so the
+# field names would be most of the bytes.  The dict codecs stay what the
+# wire, the WAL and live-state sections use.
+#
+# A step row is ``[tag, txn, payload?]``; a result row is ``[step_row]``
+# when accepted with every other field empty, else ``[step_row, code,
+# arcs, aborted, committed, released_rows, blocked_on]`` with trailing
+# empty fields trimmed (DESIGN.md §2.7 prints the table).
+
+_ROW_TAGS = {
+    Begin: "b",
+    BeginDeclared: "d",
+    Read: "r",
+    Write: "w",
+    WriteItem: "i",
+    Finish: "f",
+}
+#: Row length per step tag.
+_ROW_ARITY = {"b": 2, "f": 2, "r": 3, "i": 3, "w": 3, "d": 3}
+
+
+def history_step_to_row(step: Step) -> list:
+    """Encode one step as a history row (``["r", txn, entity]``, ...)."""
+    kind = type(step)
+    if kind is Read or kind is WriteItem:
+        return [_ROW_TAGS[kind], step.txn, step.entity]
+    if kind is Begin or kind is Finish:
+        return [_ROW_TAGS[kind], step.txn]
+    if kind is Write:
+        return ["w", step.txn, sorted(step.entities)]
+    if kind is BeginDeclared:
+        return [
+            "d",
+            step.txn,
+            {e: m.name for e, m in sorted(step.declared.items())},
+        ]
+    raise ModelError(f"cannot encode step kind {kind.__name__}")
+
+
+def history_step_from_row(row) -> Step:
+    """Inverse of :func:`history_step_to_row`; any other shape — not a
+    list, an unknown tag, the wrong length for its tag, a non-string id —
+    raises :class:`ModelError`."""
+    if type(row) is not list or not row:
+        raise ModelError(f"history step row must be a non-empty list, got {row!r}")
+    tag = row[0]
+    arity = _ROW_ARITY.get(tag) if type(tag) is str else None
+    if arity is None:
+        raise ModelError(f"history step row has an unknown tag {tag!r}")
+    if len(row) != arity:
+        raise ModelError(
+            f"history step row {row!r} has {len(row)} fields; tag {tag!r} "
+            f"takes {arity}"
+        )
+    txn = _id(row[1], "txn")
+    if tag == "r":
+        return Read(txn, _id(row[2], "entity"))
+    if tag == "b":
+        return Begin(txn)
+    if tag == "w":
+        return Write(txn, frozenset(_ids(row[2], "entities")))
+    if tag == "i":
+        return WriteItem(txn, _id(row[2], "entity"))
+    if tag == "f":
+        return Finish(txn)
+    return BeginDeclared(txn, _declared(row[2]))
+
+
+#: The longest result row: step, code and the five list fields.
+_RESULT_ROW_MAX = 7
+
+
+def history_result_to_row(result) -> list:
+    """Encode a :class:`~repro.scheduler.events.StepResult` as a history
+    row: ``[step_row]`` for a plain acceptance, else the step row, the
+    decision code and the five list fields with trailing empties trimmed."""
+    step = history_step_to_row(result.step)
+    row = [
+        step,
+        _DECISION_CODES[result.decision],
+        [list(arc) for arc in result.arcs_added],
+        list(result.aborted),
+        list(result.committed),
+        [history_step_to_row(s) for s in result.released],
+        list(result.blocked_on),
+    ]
+    while len(row) > 2 and not row[-1]:
+        row.pop()
+    if len(row) == 2 and row[1] == "a":
+        return [step]
+    return row
+
+
+def history_result_from_row(row):
+    """Inverse of :func:`history_result_to_row`.
+
+    Only the canonical encoding decodes: a row that is not a list, is
+    longer than seven fields, carries an unknown decision code or a
+    mistyped field, or ends in a field the encoder would have trimmed
+    raises :class:`ModelError` — a short row is never silently read as
+    an acceptance.
+    """
+    if type(row) is not list or not 1 <= len(row) <= _RESULT_ROW_MAX:
+        raise ModelError(
+            f"history result row must be a list of 1 to {_RESULT_ROW_MAX} "
+            f"fields, got {row!r}"
+        )
+    step = history_step_from_row(row[0])
+    if len(row) == 1:
+        return StepResult(step, Decision.ACCEPTED)
+    code = row[1]
+    decision = _DECISIONS.get(code) if type(code) is str else None
+    if decision is None:
+        raise ModelError(f"history result row has an unknown decision code {code!r}")
+    if not row[-1] or (len(row) == 2 and decision is Decision.ACCEPTED):
+        raise ModelError(
+            f"history result row {row!r} is not trimmed (an empty trailing "
+            "field, or a plain acceptance spelled out)"
+        )
+    fields = row[2:] + [[]] * (_RESULT_ROW_MAX - len(row))
+    arcs, aborted, committed, released, blocked_on = fields
+    return StepResult(
+        step,
+        decision,
+        arcs_added=_arcs(arcs, "arcs"),
+        aborted=_ids(aborted, "aborted"),
+        committed=_ids(committed, "committed"),
+        released=tuple(
+            history_step_from_row(s) for s in _list(released, "released")
+        ),
+        blocked_on=_ids(blocked_on, "blocked_on"),
+    )
+
+
+# -- field checks shared by the dict and row decoders --------------------------
+
+
+def _id(value, what: str) -> str:
+    if type(value) is not str:
+        raise ModelError(f"{what} must be a string id, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if type(value) is not list:
+        raise ModelError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _ids(value, what: str) -> tuple:
+    for item in _list(value, what):
+        if type(item) is not str:
+            raise ModelError(f"{what} must hold string ids, got {item!r}")
+    return tuple(value)
+
+
+def _arcs(value, what: str) -> tuple:
+    arcs = []
+    for arc in _list(value, what):
+        if type(arc) is not list or len(arc) != 2:
+            raise ModelError(f"{what} must hold [tail, head] pairs, got {arc!r}")
+        arcs.append((_id(arc[0], what), _id(arc[1], what)))
+    return tuple(arcs)
+
+
+def _declared(value) -> Dict[str, AccessMode]:
+    if type(value) is not dict:
+        raise ModelError(f"declared must be an object, got {value!r}")
+    declared = {}
+    for entity, mode in value.items():
+        if type(entity) is not str:
+            raise ModelError(f"declared entity must be a string, got {entity!r}")
+        if type(mode) is not str or mode not in AccessMode.__members__:
+            raise ModelError(f"declared mode of {entity!r} is invalid: {mode!r}")
+        declared[entity] = AccessMode[mode]
+    return declared
 
 
 # ---------------------------------------------------------------------------
@@ -612,3 +808,17 @@ def currency_from_dict(payload: Dict[str, Any]):
             ).items()
         },
     )
+
+
+# Imported last: repro.scheduler's package imports this module (through
+# scheduler/base.py), so a top-level import would be circular whichever
+# of the two loads first; the decision codes of history rows need it.
+from repro.scheduler.events import Decision, StepResult  # noqa: E402
+
+_DECISION_CODES = {
+    Decision.ACCEPTED: "a",
+    Decision.REJECTED: "r",
+    Decision.DELAYED: "d",
+    Decision.IGNORED: "i",
+}
+_DECISIONS = {code: decision for decision, code in _DECISION_CODES.items()}

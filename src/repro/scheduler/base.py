@@ -27,10 +27,10 @@ from repro.io import (
     currency_to_dict,
     graph_from_dict,
     graph_to_dict,
-    step_from_dict,
-    step_result_from_dict,
-    step_result_to_dict,
-    step_to_dict,
+    history_result_from_row,
+    history_result_to_row,
+    history_step_from_row,
+    history_step_to_row,
 )
 from repro.model.entities import Entity
 from repro.model.schedule import Schedule
@@ -57,6 +57,12 @@ def take_length_marker(section: Dict[str, Any], marker: str, chain: list, what: 
 class SchedulerBase(ABC):
     """Shared driving protocol; subclasses implement :meth:`_process`."""
 
+    #: A delaying scheduler (strict 2PL, predeclared) executes a step later
+    #: than it arrives, so execution order is a history list of its own —
+    #: ``_executed``, appended by its ``_process`` — rather than the
+    #: accepted prefix of the results.
+    delays = False
+
     def __init__(self, graph: Optional[ReducedGraph] = None) -> None:
         # The graph may be seeded (the oracle starts schedulers from G and
         # from D(G, N)); by default it starts empty, like CG(λ) = E.
@@ -65,6 +71,7 @@ class SchedulerBase(ABC):
         self._enter_residents()  # a seeded graph's nodes hold nothing yet
         self._input_log: List[Step] = []
         self._results: List[StepResult] = []
+        self._executed: List[Step] = []
         self._aborted: Set[TxnId] = set()
 
     # -- driving --------------------------------------------------------------
@@ -121,9 +128,7 @@ class SchedulerBase(ABC):
         """Projection of the input on non-aborted transactions (§2).
 
         Note: delayed steps (predeclared/locking) appear in the accepted
-        subschedule only once they actually execute; subclasses that delay
-        override :meth:`executed_schedule` to expose execution order, and
-        this method delegates to it.
+        subschedule only once they actually execute.
         """
         return self.executed_schedule().accepted_subschedule(self._aborted)
 
@@ -131,8 +136,10 @@ class SchedulerBase(ABC):
         """Steps in the order they *executed*.
 
         For non-delaying schedulers this is the accepted prefix order of the
-        input; delaying schedulers override it.
+        input; a delaying one records its own order.
         """
+        if self.delays:
+            return Schedule(tuple(self._executed))
         executed = [
             result.step
             for result in self._results
@@ -159,16 +166,17 @@ class SchedulerBase(ABC):
         """A JSON-ready dict of the complete scheduler state.
 
         Captures the reduced graph (via the :mod:`repro.io` serializers),
-        the currency tracker, the raw input log, every recorded
-        :class:`StepResult`, the aborted set, and whatever variant-specific
-        state :meth:`_snapshot_extra` contributes (parked step queues, lock
-        tables, certification clocks, ...).
+        the currency tracker, the history logs as rows (the raw input log,
+        every recorded :class:`StepResult`, and a delaying scheduler's
+        execution order), the aborted set, and whatever variant-specific
+        live state :meth:`_snapshot_extra` contributes (parked step
+        queues, lock tables, certification clocks, ...).
 
         ``include_logs=False`` omits the sections that grow with history
-        — the input log, the result list, the graph's tombstone list —
-        and records the two log lengths instead; :meth:`splice_history`
-        puts them back before :meth:`restore_state`, which always expects
-        a complete payload (the contract: :meth:`Engine.snapshot`).
+        — the logs and the graph's tombstone list — and records each
+        log's length instead; :meth:`splice_history` puts them back
+        before :meth:`restore_state`, which always expects a complete
+        payload (the contract: :meth:`Engine.snapshot`).
         """
         state = {
             "graph": graph_to_dict(self.graph, include_deleted=include_logs),
@@ -177,43 +185,72 @@ class SchedulerBase(ABC):
             "extra": self._snapshot_extra(),
         }
         if include_logs:
-            state["input_log"] = [step_to_dict(s) for s in self._input_log]
-            state["results"] = [step_result_to_dict(r) for r in self._results]
+            state["input_log"] = [history_step_to_row(s) for s in self._input_log]
+            state["results"] = [history_result_to_row(r) for r in self._results]
+            if self.delays:
+                state["executed"] = [
+                    history_step_to_row(s) for s in self._executed
+                ]
         else:
-            # The two logs can differ in length: feed() records the step
-            # in the input log *before* _process, which may raise without
-            # producing a result.  Both lengths are needed to validate a
+            # The logs can differ in length: feed() records the step in
+            # the input log *before* _process, which may raise without
+            # producing a result.  Every length is needed to validate a
             # spliced reconstruction.
             state["log_len"] = len(self._results)
             state["input_len"] = len(self._input_log)
+            if self.delays:
+                state["executed_len"] = len(self._executed)
         return state
 
     def history_marks(self) -> Dict[str, Any]:
-        """Current length of each log — two marks, for the reason
-        :meth:`snapshot_state` records two lengths."""
-        return {"results": len(self._results), "input": len(self._input_log)}
+        """Current length of each log — one mark per log, for the reason
+        :meth:`snapshot_state` records every length."""
+        marks = {"results": len(self._results), "input": len(self._input_log)}
+        if self.delays:
+            marks["executed"] = len(self._executed)
+        return marks
 
     def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
-        """The JSON-ready tails of both logs past *marks*."""
-        return {
+        """The tails of the logs past *marks*, as history rows."""
+        delta = {
             "results": [
-                step_result_to_dict(r) for r in self._results[marks["results"] :]
+                history_result_to_row(r) for r in self._results[marks["results"] :]
             ],
-            "input": [step_to_dict(s) for s in self._input_log[marks["input"] :]],
+            "input": [
+                history_step_to_row(s) for s in self._input_log[marks["input"] :]
+            ],
         }
+        if self.delays:
+            delta["executed"] = [
+                history_step_to_row(s) for s in self._executed[marks["executed"] :]
+            ]
+        return delta
+
+    @staticmethod
+    def history_keys(state: Dict[str, Any]) -> Tuple[str, ...]:
+        """The log tails a core *state* needs back, as
+        :meth:`history_since` names them (the core's markers say)."""
+        if "executed_len" in state:
+            return ("results", "input", "executed")
+        return ("results", "input")
 
     @staticmethod
     def splice_history(
-        state: Dict[str, Any], results: list, inputs: list, deleted: list
+        state: Dict[str, Any], logs: Dict[str, list], deleted: list
     ) -> None:
         """Inverse of ``snapshot_state(include_logs=False)``: put the
-        reconstructed logs and tombstones back into *state*."""
+        reconstructed *logs* (keyed as :meth:`history_keys` names them)
+        and tombstones back into *state*."""
         state["results"] = take_length_marker(
-            state, "log_len", results, "scheduler log entries"
+            state, "log_len", logs["results"], "scheduler log entries"
         )
         state["input_log"] = take_length_marker(
-            state, "input_len", inputs, "input-log entries"
+            state, "input_len", logs["input"], "input-log entries"
         )
+        if "executed" in logs:
+            state["executed"] = take_length_marker(
+                state, "executed_len", logs["executed"], "executed steps"
+            )
         state["graph"]["deleted"] = sorted(deleted)
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
@@ -222,10 +259,17 @@ class SchedulerBase(ABC):
             self.graph = graph_from_dict(payload["graph"])
             self.currency = currency_from_dict(payload["currency"])
             self._enter_residents()
-            self._input_log = [step_from_dict(d) for d in payload["input_log"]]
-            self._results = [
-                step_result_from_dict(d) for d in payload["results"]
+            self._input_log = [
+                history_step_from_row(row) for row in payload["input_log"]
             ]
+            self._results = [
+                history_result_from_row(row) for row in payload["results"]
+            ]
+            self._executed = (
+                [history_step_from_row(row) for row in payload["executed"]]
+                if self.delays
+                else []
+            )
             self._aborted = set(payload["aborted"])
         except (KeyError, ValueError, TypeError) as exc:
             raise SnapshotError(f"malformed scheduler snapshot: {exc}") from exc

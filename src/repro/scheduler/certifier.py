@@ -223,6 +223,12 @@ class Certifier(SchedulerBase):
     def running_transactions(self) -> frozenset:
         return frozenset(self._running)
 
+    def delete_transaction(self, txn: TxnId) -> None:
+        super().delete_transaction(txn)
+        # A certification time is read only for a writer still in the
+        # graph; kept past deletion it would make every core O(history).
+        self._cert_time.pop(txn, None)
+
     # -- shard migration ------------------------------------------------------------
 
     def sync_clock(self, tick: int) -> None:

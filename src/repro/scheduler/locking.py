@@ -100,6 +100,8 @@ class StrictTwoPhaseLocking(SchedulerBase):
     frozenset()
     """
 
+    delays = True
+
     def __init__(self) -> None:
         # Locking needs no conflict graph at all; the base-class graph stays
         # empty and unused — that absence *is* the paper's point.
@@ -107,8 +109,6 @@ class StrictTwoPhaseLocking(SchedulerBase):
         self._locks = _LockTable()
         self._pending: Dict[TxnId, Deque[Step]] = {}
         self._active: Set[TxnId] = set()
-        self._committed: List[TxnId] = []
-        self._executed: List[Step] = []
         self._waits_for: Dict[TxnId, Set[TxnId]] = {}
 
     # -- views -----------------------------------------------------------------
@@ -122,12 +122,10 @@ class StrictTwoPhaseLocking(SchedulerBase):
         return frozenset(self._active)
 
     def committed_transactions(self) -> Tuple[TxnId, ...]:
-        return tuple(self._committed)
-
-    def executed_schedule(self):
-        from repro.model.schedule import Schedule
-
-        return Schedule(tuple(self._executed))
+        """Commit order.  Every commit is reported by exactly one result
+        (a step's own final write, or a released one's), so the results
+        log is the record — no list of its own to carry forever."""
+        return tuple(txn for result in self._results for txn in result.committed)
 
     def waiting_transactions(self) -> Dict[TxnId, Tuple[Step, ...]]:
         return {txn: tuple(q) for txn, q in self._pending.items() if q}
@@ -197,8 +195,6 @@ class StrictTwoPhaseLocking(SchedulerBase):
                 for txn, queue in sorted(self._pending.items())
             },
             "active": sorted(self._active),
-            "committed": list(self._committed),
-            "executed": [step_to_dict(step) for step in self._executed],
             "waits_for": {
                 txn: sorted(blockers)
                 for txn, blockers in sorted(self._waits_for.items())
@@ -217,8 +213,6 @@ class StrictTwoPhaseLocking(SchedulerBase):
             for txn, items in extra["pending"].items()
         }
         self._active = set(extra["active"])
-        self._committed = list(extra["committed"])
-        self._executed = [step_from_dict(d) for d in extra["executed"]]
         self._waits_for = {
             txn: set(blockers) for txn, blockers in extra["waits_for"].items()
         }
@@ -302,7 +296,6 @@ class StrictTwoPhaseLocking(SchedulerBase):
         self._locks.release_all(step.txn)
         self._active.discard(step.txn)
         self._pending.pop(step.txn, None)
-        self._committed.append(step.txn)
         return (step.txn,)
 
     def _drain_pending(self) -> Tuple[List[Step], List[TxnId], List[TxnId]]:

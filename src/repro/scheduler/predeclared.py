@@ -69,6 +69,8 @@ class PredeclaredScheduler(SchedulerBase):
     <Decision.ACCEPTED: 'accepted'>
     """
 
+    delays = True
+
     def __init__(self, graph: Optional[ReducedGraph] = None) -> None:
         super().__init__(graph)
         # Parked steps per transaction, in program order.  When seeded with
@@ -77,8 +79,6 @@ class PredeclaredScheduler(SchedulerBase):
         self._pending: Dict[TxnId, Deque[Step]] = {
             txn: deque() for txn in self.graph
         }
-        # Execution-order log (accepted steps, including released ones).
-        self._executed: List[Step] = []
 
     # -- public views ------------------------------------------------------------
 
@@ -87,11 +87,6 @@ class PredeclaredScheduler(SchedulerBase):
         return {
             txn: tuple(queue) for txn, queue in self._pending.items() if queue
         }
-
-    def executed_schedule(self):
-        from repro.model.schedule import Schedule
-
-        return Schedule(tuple(self._executed))
 
     # -- shard migration ------------------------------------------------------------
 
@@ -122,7 +117,6 @@ class PredeclaredScheduler(SchedulerBase):
                 txn: [step_to_dict(step) for step in queue]
                 for txn, queue in sorted(self._pending.items())
             },
-            "executed": [step_to_dict(step) for step in self._executed],
         }
 
     def _restore_extra(self, extra):
@@ -132,7 +126,6 @@ class PredeclaredScheduler(SchedulerBase):
             txn: deque(step_from_dict(d) for d in items)
             for txn, items in extra["pending"].items()
         }
-        self._executed = [step_from_dict(d) for d in extra["executed"]]
 
     # -- driving --------------------------------------------------------------------
 
@@ -190,6 +183,7 @@ class PredeclaredScheduler(SchedulerBase):
             queue.append(step)
             return StepResult(step, Decision.DELAYED, blocked_on=tuple(sorted(blockers)))
         arcs, committed = outcome
+        self._retire_if_finished(step)
         released = self._drain_pending()
         return StepResult(
             step,
@@ -298,6 +292,14 @@ class PredeclaredScheduler(SchedulerBase):
                 if outcome is None:
                     continue
                 queue.popleft()
+                self._retire_if_finished(head)
                 released.append(head)
                 progress = True
         return released
+
+    def _retire_if_finished(self, step: Step) -> None:
+        """Nothing can follow an executed FINISH: drop its transaction's
+        (empty) queue, or the table — live state, checkpointed in every
+        core — would keep one entry per transaction ever begun."""
+        if isinstance(step, Finish) and not self._pending[step.txn]:
+            del self._pending[step.txn]

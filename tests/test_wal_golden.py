@@ -7,20 +7,25 @@ every writer path — cadence checkpoints, an explicit ``sweep()``, a
 ``feed_batch(flush=True)``, ``flush_pending()``, a crash, ``recover()``,
 more writes on the resumed chain, a closing checkpoint — is hashed file
 by file and compared against digests computed at the commit that froze
-the format (81953b8, the parent of the history-protocol refactor).
+the format: the one that wrote history as rows (checkpoint, snapshot and
+sharded-snapshot format 2), whose parent is bfca36d.
 
 A digest that changes means old directories no longer recover
 byte-identically: bump the format constants and regenerate the table in
-the same change, never one without the other.
+the same change, never one without the other.  The WAL itself — segments
+and manifest — has its own table, pinned at bfca36d (format 1 of every
+file) and unchanged by the move to rows: only checkpoint files moved.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from repro.durability import LOCK_NAME, DurableEngine, recover
+from repro.errors import RecoveryError
 from repro.workloads.generator import (
     WorkloadConfig,
     basic_stream,
@@ -42,50 +47,97 @@ CASES = {
 #: (tail truncated, full delta chain).
 GOLDEN = {
     ("certifier", 1): (
-        "b9884d7adc98ff0ba99de94b1d451f7dc76f8d44cea93f42cdb3f14d5319ed0a",
-        "e0c08cb955805b02e5caad61a02e3f7ba240965bcb4d34f92b63013248df990f",
+        "d3bafd337bd77ac54f370eeee7be85bfc570eb0a8dd393a316012c7310eccfe6",
+        "a1584822a8147b35ec88ae35cc54ef32f40d35875563e70aa1a6f2795d48c297",
     ),
     ("certifier", 4): (
-        "f79df4e9b3ef49486f2adc734cd65ec2f7c8305882f977fc69b5b317fe263be6",
-        "5f906729c043e67b942ca187317c13859b28c63c83f0694ea14b990a99cbaa71",
+        "0010519e5793031bf608af2425ec3d15ba23bedaedf0acb8d59922737af8fa44",
+        "223d7457aac8802c51e94e15acda3032431f4b5f13a2cba102b96efef04a9eac",
     ),
     ("conflict-graph", 1): (
-        "808007c7bfaeb1da7d153ed69b47a1be67a244abf56e31d22fe4e5b0db81c149",
-        "38f5b90b366e7a498a8f578a5d5f42801f462d4efd13351ca8f7d764903bf181",
+        "3da5f1420c58688cf1196aad5f996eececde37d6c194a44e4b35f7a6c26f6e09",
+        "6a6c91674cf38f3cfb934d2c0865b83b00ff8547b23ea7297d6ff90f7123338e",
     ),
     ("conflict-graph", 4): (
-        "092a15b05b8382b31cddf4ce17f9315e61fbb7a5a195fbc0ae1a2cce82f006b6",
-        "219908ede82805b96a894bc9246e5b710b7bc80f41794560b2c13f92fa838f96",
+        "edcba87424a08349dd3e61d4b8791b97d4acf2d431ba8c3ef40a42131e574668",
+        "97c163d028a61eec24ba2383364eaeaa86627832d14568b5fc11a55736148dce",
     ),
     ("multiwrite", 1): (
-        "217032fd19826b17d15816cf404d1e851ba9797dd2da9c2015c8c252093c98c9",
-        "bb5a5691957c99438e0499cbdcce086c78617cd97d2b7ed8318e4344d20396f4",
+        "b87371f2803bfcb3a1628484fc07b5a11f416a74c65a987361b453e6f9197f54",
+        "69c3adb6ea2da29b7d20d0f05fd4a201f76d3a9c649df040f52adaa8b9dfd613",
     ),
     ("multiwrite", 4): (
-        "ef9bdccec7d6d6dc760adb4898c11b414a55b9a25169a681eb33f9969bd95062",
-        "5e634ed385f3b65e300c55d22025c8070e3994541b15a2d521ec41127a0fb657",
+        "64ee5cd9e231377ab13facc6f1343ee72015cd6029f37d786bce1baf7daa9352",
+        "b1daa176b199f1304e97aabbc15b1568a88356e76faabf25c839ca41bc0007b0",
     ),
     ("predeclared", 1): (
-        "a37c9438529acdf076c76ee2b3559d3af6f17a45b4737a3695da6acad04316d4",
-        "8ac1f0bba851a29b1eb2d736ad1496a966ff6b9f627358b78358c8b8c698533d",
+        "c2cd87557f48a002e1bb68ff380669d7c75b472d6d0fe8c397dc125b5057fa20",
+        "461c40931b24acd16b0c977b160f16df8347fe06060b18e509fc657507fe0ab3",
     ),
     ("predeclared", 4): (
-        "419a61e1a999f0cf0300d6454e85cc4ace1162aa765807786f0948933795e084",
-        "c1213beaa94af8559d0cc45c7bbfd1a9db85dafdf53c7204b717f3da9518a68c",
+        "ddec05b3cf0a1126d874e5fef79643257a77a01c825cc1ddf17ed4364b6a519d",
+        "8ad29f440e90b5837363149f41c453a3aee4b146e27d50bf321cd22a0d816ea9",
     ),
     ("strict-2pl", 1): (
-        "febdc8361fb73893128f1850c7a70c7ceb7c836fa251ae9d6f3af05df13f9d29",
-        "7d7e2d786c21fb4c71a56c68abf7879eb4aebdb0b06627fbfb9fa8d330cdb886",
+        "ec2f05222571e0d6622bc47e687b1ccc8b447a285d8ead715fc75f04d37c579b",
+        "591ca3de81df338b731ca8a3a1015e260a33ed47d033858cd38cf901667663f5",
     ),
     ("strict-2pl", 4): (
-        "81d89455d8e8cc715c33cc95cdc913c0da2b5e5472697140ddf37cd356e9d76e",
-        "1f2e81ccb8c0825fe6e90cdae4fcf72f9e480e0c05104528c5341a037ae734f1",
+        "9a247cbbad14a8ad074ae7ccf70450b79453c25fd8171e4047bbc3cf05525f0d",
+        "57364630c769c5a91a95de0fac6e2665c19eefad0f940ffe2fa1f96e407ec74a",
+    ),
+}
+
+#: The same two moments, hashed over the log only (segments and manifest,
+#: no checkpoints): the bytes every release since bfca36d has written.
+LOG_GOLDEN = {
+    ("certifier", 1): (
+        "8b19346376e30602d3b0168c2f022a61855ecc1e75b055a9a6007af5e419f33a",
+        "2476fa15eeea02a58681554ef480c89ec589ef5a5b09ef08bf3ad89199be3d55",
+    ),
+    ("certifier", 4): (
+        "c62d9c3733a1d0608898aeb4406fd30ae46d148216118b14e772e1941dfdc23c",
+        "d23085f672f35e0954d9cea117952b53758d8a02972ec2968faf001480a8c470",
+    ),
+    ("conflict-graph", 1): (
+        "54835f9125f229a785bf3ed458399007cf3a34110f3a4c719646cd9427b57e25",
+        "087129b2ad618fd32b6f13798fd0c6865b5cd9119afb213811cef844520b7538",
+    ),
+    ("conflict-graph", 4): (
+        "89a639a91046d9574e997739d744d1e905be5c3356bd62643435b44b4b16ab03",
+        "c1bb2837fc2ccab0d54237a67570f8608f63ef0c9a4823efa2a263b334b4b0d1",
+    ),
+    ("multiwrite", 1): (
+        "566ecb7b11a4b960c4168d5e8909e45eb57c7e6c158b009037ded3544214f290",
+        "49ec170ca88e750b825bbdf595decdc08a5a139f94b6b16822ab146408093c8f",
+    ),
+    ("multiwrite", 4): (
+        "a5db063bf7e37a37c1ea24acd005466cb4cdce0bcacf5086c9a51bb7ed164923",
+        "24368dab161a16a63799fed67d28e32a92a30897c4b122df93d7b627952bcd83",
+    ),
+    ("predeclared", 1): (
+        "2301625a984cf5849c480e4ba95232e60cbb897e902beda1824ed58466b00d4d",
+        "17bb31768bcaf3fb27445c5dd9c0b0d5320daf968321469e1710ba97e1c21fcc",
+    ),
+    ("predeclared", 4): (
+        "911ed93f73d3533ee54815b6d38290a9edd109bc8457d2099adb8ac4922eeb87",
+        "eda672ffbad9de945f1d5ff0e31df40c3efa2de699945cbd6a545d599a3d275c",
+    ),
+    ("strict-2pl", 1): (
+        "3beee7dbf30a267e5020e49af574e64a54c022e951131835dc2bc5bfe71fd4b3",
+        "be1cc51e6cc3437c1399d3b36ec8c679626163c60aad01aef1de88594ee34e67",
+    ),
+    ("strict-2pl", 4): (
+        "23228b6d6dfa884176e4306031e57ee258ebf8ada746c2fbdb8efbf9e4daebb7",
+        "676aee7881800317e963c3cd0a7296713e14eb4f15547e03bcb74906dc5ef3ac",
     ),
 }
 
 
-def _recipe(wal, scheduler, shards):
-    """Run the recipe in *wal*; returns the (crashed, closed) digests."""
+def _recipe(wal, scheduler, shards, digest=None):
+    """Run the recipe in *wal*; returns the (crashed, closed) digests
+    (of the whole directory unless another *digest* is given)."""
+    digest = digest or wal_dir_digest
     policy, streamer = CASES[scheduler]
     stream = list(streamer(WorkloadConfig(
         n_transactions=60, n_entities=14, multiprogramming=5,
@@ -109,26 +161,64 @@ def _recipe(wal, scheduler, shards):
         durable.flush_pending()
     durable.feed_many(stream[b:c])
     durable.simulate_crash()
-    crashed = wal_dir_digest(wal)
+    crashed = digest(wal)
     resumed = recover(wal)
     resumed.feed_many(stream[c:])
     resumed.close(checkpoint=True)
-    return crashed, wal_dir_digest(wal)
+    return crashed, digest(wal)
 
 
-def wal_dir_digest(wal) -> str:
+def wal_dir_digest(wal, *, skip=()) -> str:
     """One digest over names and bytes of everything but ``LOCK`` (which
-    records the writer's PID)."""
+    records the writer's PID) and the top-level entries named in *skip*."""
     digest = hashlib.sha256()
     for path in sorted(p for p in wal.rglob("*") if p.is_file()):
-        if path.name == LOCK_NAME:
+        relative = path.relative_to(wal)
+        if path.name == LOCK_NAME or relative.parts[0] in skip:
             continue
-        digest.update(str(path.relative_to(wal)).encode() + b"\0")
+        digest.update(str(relative).encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
+
+
+def log_digest(wal) -> str:
+    return wal_dir_digest(wal, skip=("checkpoints",))
 
 
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("scheduler", sorted(CASES))
 def test_wal_dir_bytes_match_the_frozen_format(tmp_path, scheduler, shards):
     assert _recipe(tmp_path / "wal", scheduler, shards) == GOLDEN[scheduler, shards]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("scheduler", sorted(CASES))
+def test_the_log_bytes_did_not_move(tmp_path, scheduler, shards):
+    digests = _recipe(tmp_path / "wal", scheduler, shards, digest=log_digest)
+    assert digests == LOG_GOLDEN[scheduler, shards]
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_format_1_directory_is_refused(tmp_path, shards):
+    """No format-1 loader is kept: a chain whose checkpoints carry the old
+    stamp is refused by the stamp check, and so is an old engine core
+    inside a current checkpoint."""
+    wal = tmp_path / "wal"
+    _recipe(wal, "conflict-graph", shards)
+    checkpoints = sorted((wal / "checkpoints").iterdir())
+    latest = checkpoints[-1]
+    current = latest.read_text()
+
+    def rewrite(edit):
+        payload = json.loads(current)
+        edit(payload)
+        latest.write_text(json.dumps(payload))
+
+    rewrite(lambda payload: payload.update(format=1))
+    with pytest.raises(RecoveryError, match="unsupported format stamp"):
+        recover(wal)
+    rewrite(lambda payload: payload["core"].update(format=1))
+    with pytest.raises(RecoveryError, match="unsupported .*format"):
+        recover(wal)
+    latest.write_text(current)
+    recover(wal).close()
