@@ -19,14 +19,14 @@ its *prefix* becomes deletable the moment a checkpoint covers it.  Here:
   engine's history-free *core* (``snapshot(include_logs=False)``) is
   written atomically (tmp file + fsync + ``os.replace``) together with a
   **delta**, its ``history_since`` the previous checkpoint.  What counts
-  as history is the engine's business (the history protocol in
-  :mod:`repro.engine`; entries are written as positional history rows,
-  :func:`repro.io.history_result_to_row`): this module stores marks,
-  cores and deltas and never looks inside them.  Per-checkpoint cost is
-  O(live state + interval), not O(history), for every scheduler — a
-  core's only history-sized residue is one id per aborted transaction
-  (the id-reuse guard) — so checkpoints stay cheap forever, which is
-  what makes a small interval affordable (benchmarked in E17).
+  as history is the engine's business: one log per engine records each
+  step once and each deletion with its tick (format 3: ``results``,
+  ``executed``, ``deleted`` rows), so ``audit`` survives recovery; this
+  module stores marks, cores and deltas, never looking inside them.
+  Per-checkpoint cost is O(live state + interval), not O(history), for
+  every scheduler — a core's only history-sized residue is one id per
+  aborted transaction (the id-reuse guard) — so checkpoints stay cheap
+  forever, which is what makes a small interval affordable (E17).
 * **Truncation** — segments are grouped into *epochs* that roll at each
   checkpoint; once the checkpoint is durably on disk every segment of an
   older epoch is covered by it and deleted.  The WAL's steady-state
@@ -100,7 +100,7 @@ __all__ = [
 MANIFEST_FORMAT = 1
 MANIFEST_KIND = "wal-manifest"
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 CHECKPOINT_KIND = "durability-checkpoint"
 
 _SEGMENTS_DIR = "segments"
@@ -331,7 +331,9 @@ class DurableEngine(BatchFacade):
     to resume from a crashed ``wal_dir``.  Read-only views (``stats``,
     ``graph``, ``accepted_subschedule`` …) delegate to the wrapped engine
     (also reachable as :attr:`engine`); state mutations must go through
-    this wrapper, or they will not survive a crash.  The wrapper knows
+    this wrapper, or they will not survive a crash; assigning a public
+    name the wrapper does not own raises
+    :class:`~repro.errors.DurabilityError`.  The wrapper knows
     the engine by its façade and history protocol only: ``shard_count``
     decides nothing but which WAL stream a record lands in.
     """
@@ -521,6 +523,18 @@ class DurableEngine(BatchFacade):
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._inner, name)
+
+    _OWN_NAMES = ("wal_dir", "config", "shard_count", "checkpoint_interval",
+                  "sync", "recovery_info")
+
+    def __setattr__(self, name: str, value) -> None:
+        # An engine's name set here would shadow the engine's own value.
+        if not name.startswith("_") and name not in self._OWN_NAMES:
+            raise DurabilityError(
+                f"cannot set {name!r} on a durable engine; it is the wrapped "
+                "engine's (set it on durable.engine, outside the WAL)"
+            )
+        object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return (
@@ -791,13 +805,14 @@ def _load_checkpoint_chain(
                 "(a checkpoint is never torn; this is data loss, not a "
                 "crashed append)"
             ) from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != CHECKPOINT_FORMAT
-            or payload.get("kind") != CHECKPOINT_KIND
+        stamp = payload if isinstance(payload, dict) else {}
+        if (stamp.get("format"), stamp.get("kind")) != (
+            CHECKPOINT_FORMAT, CHECKPOINT_KIND
         ):
             raise RecoveryError(
-                f"checkpoint {path.name} has an unsupported format stamp"
+                f"checkpoint {path.name} has an unsupported format stamp "
+                f"(format={stamp.get('format')!r}, kind={stamp.get('kind')!r}"
+                f"; this build reads format {CHECKPOINT_FORMAT} only)"
             )
         if payload.get("seq") != seq:
             raise RecoveryError(

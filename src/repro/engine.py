@@ -30,21 +30,20 @@ runner, the durability and serving layers — goes through :class:`Engine`:
   ``eager-c3``, ``eager-c4``) re-examine only the dirty transactions —
   with selections provably identical to a full scan.
 * **Checkpoint/restore** — :meth:`Engine.snapshot` captures the full loop
-  state (graph, currency, input log, variant-specific scheduler state,
+  state (graph, currency, history log, variant-specific scheduler state,
   statistics, sweep cadence) as a JSON-ready dict built on the
   :mod:`repro.io` serializers; :meth:`Engine.restore` rebuilds a live
   engine that continues exactly where the snapshot left off.
-* **History protocol** — which lists grow with *history* rather than
-  with live state (step results, the input log, a delaying scheduler's
-  execution order, the ordered deletion log) is the engine's business,
-  stated once: ``snapshot(include_logs=False)`` is the complete
-  history-free core, ``history_marks()`` says how much history exists,
-  ``history_since(marks)`` returns the tails as JSON-ready history rows
-  (:func:`repro.io.history_result_to_row`), and
-  ``repro.io.restore_engine(core, history=tails)`` splices them back
-  (``splice_history``).  :class:`ShardedEngine` composes the same three
-  from its shards', so incremental checkpoints never learn which engine
-  they hold.
+* **History protocol** — what grows with *history* rather than live
+  state is one :class:`~repro.scheduler.history.HistoryLog` per engine,
+  each step recorded once: results (their steps are the input
+  schedule), a delaying scheduler's execution order, and deletions with
+  their ticks (what :meth:`audit` reads).  ``snapshot(include_logs=False)``
+  is the history-free core, ``history_marks()`` says how much history
+  exists, ``history_since(marks)`` returns the tails as rows (format 3
+  keys ``results``, ``executed``, ``deleted``; a :class:`ShardedEngine`
+  adds its shards' as ``shard_<key>`` lists), and
+  ``repro.io.restore_engine(core, history=tails)`` splices them back.
 
 >>> engine = Engine(scheduler="conflict-graph", policy="eager-c1",
 ...                 sweep_interval=2, verify_c2=True)
@@ -84,8 +83,9 @@ from repro.errors import (
 from repro.model.schedule import Schedule
 from repro.model.status import TxnState
 from repro.model.steps import Begin, BeginDeclared, Step, TxnId
-from repro.scheduler.base import SchedulerBase, take_length_marker
+from repro.scheduler.base import SchedulerBase
 from repro.scheduler.events import Decision, StepResult
+from repro.scheduler.history import HistoryLog
 from repro.sharding import FootprintRouter, Migration, footprint_of, migrate_group
 
 __all__ = [
@@ -104,8 +104,8 @@ __all__ = [
     "build_engine",
 ]
 
-SNAPSHOT_FORMAT = 2
-SHARDED_SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
+SHARDED_SNAPSHOT_FORMAT = 3
 SHARDED_SNAPSHOT_KIND = "sharded-engine"
 
 _BEGIN_STEPS = (Begin, BeginDeclared)
@@ -128,7 +128,9 @@ _HOOK_NAMES = (
 
 @dataclass
 class GcStats:
-    """Running totals for one engine (né garbage-collected scheduler)."""
+    """Running totals for one engine (né garbage-collected scheduler);
+    an engine reads ``deleted_ids`` and ``deletions`` off its history log
+    and ``policy_invocations`` off its sweep counter."""
 
     steps_fed: int = 0
     deletions: int = 0
@@ -138,27 +140,17 @@ class GcStats:
     deleted_ids: List[TxnId] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "steps_fed": self.steps_fed,
-            "deletions": self.deletions,
-            "policy_invocations": self.policy_invocations,
-            "peak_graph_size": self.peak_graph_size,
-            "peak_retained_completed": self.peak_retained_completed,
-            "deleted_ids": list(self.deleted_ids),
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload["deleted_ids"] = list(self.deleted_ids)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "GcStats":
-        return cls(
-            steps_fed=int(payload.get("steps_fed", 0)),
-            deletions=int(payload.get("deletions", 0)),
-            policy_invocations=int(payload.get("policy_invocations", 0)),
-            peak_graph_size=int(payload.get("peak_graph_size", 0)),
-            peak_retained_completed=int(
-                payload.get("peak_retained_completed", 0)
-            ),
-            deleted_ids=list(payload.get("deleted_ids", ())),
-        )
+        counts = {
+            f.name: int(payload.get(f.name, 0))
+            for f in dataclasses.fields(cls) if f.name != "deleted_ids"
+        }
+        return cls(**counts, deleted_ids=list(payload.get("deleted_ids", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +190,13 @@ class AuditRecord:
       step index (engine-local logical tick in sharded engines) of the
       sweep that removed it;
     * ``"aborted"`` — rejected or cascade-aborted; its steps are ignored;
-    * ``"unknown"`` — never seen (or seen before a restore; see below).
+    * ``"unknown"`` — never seen.
 
     ``accepted_at`` is the step index at which the transaction's BEGIN
-    was accepted.  Acceptance positions and deletion ticks are runtime
-    bookkeeping, not part of the checkpoint format: a restored engine
-    reports ``None`` for events that predate the restore.
+    was accepted.  Both positions are read off the engine's history log,
+    which checkpoints persist: a restored, recovered, following or
+    promoted engine answers all five fields as the engine that wrote the
+    log did.
     """
 
     txn: TxnId
@@ -286,25 +279,15 @@ class CallbackObserver(EngineObserver):
 
 
 class StatsObserver(EngineObserver):
-    """Maintains :class:`GcStats` from engine events.
-
-    Every engine carries one so ``engine.stats`` is always available.
-    """
+    """Maintains the per-step counters of :class:`GcStats` (steps fed and
+    the peaks).  Every engine carries one; ``engine.stats`` adds what the
+    engine counts itself."""
 
     def __init__(self, stats: Optional[GcStats] = None) -> None:
         self.stats = stats if stats is not None else GcStats()
 
     def on_step(self, engine: "Engine", result: StepResult) -> None:
         self.stats.steps_fed += 1
-
-    def on_sweep(self, engine: "Engine", report: SweepReport) -> None:
-        self.stats.policy_invocations += 1
-
-    def on_delete(
-        self, engine: "Engine", deleted: Tuple[TxnId, ...], step_index: int
-    ) -> None:
-        self.stats.deletions += len(deleted)
-        self.stats.deleted_ids.extend(deleted)
 
     def on_step_end(self, engine: "Engine", result: StepResult) -> None:
         # Peaks are measured after the (step, deletion) pair completes.
@@ -478,7 +461,7 @@ class BatchFacade:
 class _EngineFacade(BatchFacade):
     """The batch façade plus the one :class:`AuditRecord` assembly: an
     engine says where a transaction is now (``_fate(txn)`` → status and
-    fine-grained state or ``None``) and keeps the two audit maps."""
+    fine-grained state or ``None``) and its ``history`` log says when."""
 
     def audit(self, txn: TxnId) -> AuditRecord:
         """One transaction's fate — see :class:`AuditRecord`.
@@ -492,28 +475,11 @@ class _EngineFacade(BatchFacade):
             return AuditRecord(txn, status)
         # Only a deleted transaction has a deletion tick (ids are never
         # reused), so that lookup is None for every other status.
+        history = self.history
         return AuditRecord(
             txn, status, state,
-            self._accept_pos.get(txn), self._deletion_ticks.get(txn),
+            history.accepted_at.get(txn), history.deleted_at.get(txn),
         )
-
-
-def _gather_history(deltas, *keys: str, shard: Optional[int] = None):
-    """One list per key: that key's entries — of *shard*, for a sharded
-    delta's per-shard lists — concatenated over the ordered *deltas*.
-    Deltas are bytes read back from disk: one that lacks a key or holds
-    the wrong type raises :class:`SnapshotError` naming its position."""
-    chains = tuple([] for _ in keys)
-    for index, delta in enumerate(deltas):
-        try:
-            for chain, key in zip(chains, keys):
-                chain.extend(delta[key] if shard is None else delta[key][shard])
-        except (KeyError, IndexError, TypeError) as exc:
-            raise SnapshotError(
-                f"history delta {index + 1} of {len(deltas)} is malformed: "
-                f"{exc!r}"
-            ) from exc
-    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +593,6 @@ class Engine(_EngineFacade):
         self._steps_since_sweep = 0
         self._sweeps_run = 0
         self._sweeps_skipped = 0
-        # Audit bookkeeping (process-lifetime, not serialized): when each
-        # transaction's BEGIN was accepted and when a sweep deleted it.
-        self._accept_pos: Dict[TxnId, int] = {}
-        self._deletion_ticks: Dict[TxnId, int] = {}
         # Sweep-gating state (see "Dirty-set sweeps" in the class
         # docstring).  Conservative until the first sweep: the gate opens
         # and the tracker starts ALL-dirty.
@@ -714,12 +676,6 @@ class Engine(_EngineFacade):
         result = scheduler.feed(step)
         self._step_index += 1
         self._steps_since_sweep += 1
-        if (
-            result.decision is Decision.ACCEPTED
-            and isinstance(step, _BEGIN_STEPS)
-            and step.txn not in self._accept_pos
-        ):
-            self._accept_pos[step.txn] = self._step_index
         if result.committed or result.aborted:
             self._gate_open = True
         if tracker is not None:
@@ -796,8 +752,6 @@ class Engine(_EngineFacade):
                     f"policy {self.policy.name!r} selected a C2-violating set",
                 )
             self.scheduler.delete_transactions(ordered)
-            for txn in ordered:
-                self._deletion_ticks[txn] = self._step_index
             for handler in self._hooks["on_delete"]:
                 handler(self, ordered, self._step_index)
         report = SweepReport(self._sweeps_run, self._step_index, ordered)
@@ -824,7 +778,16 @@ class Engine(_EngineFacade):
 
     @property
     def stats(self) -> GcStats:
-        return self._stats_observer.stats
+        stats = self._stats_observer.stats
+        stats.deleted_ids = self.scheduler.history.deleted
+        stats.deletions = len(stats.deleted_ids)
+        stats.policy_invocations = self._sweeps_run
+        return stats
+
+    @property
+    def history(self) -> HistoryLog:
+        """The scheduler's log, which also holds the sweeps' deletions."""
+        return self.scheduler.history
 
     @property
     def graph(self):
@@ -894,12 +857,14 @@ class Engine(_EngineFacade):
         via :meth:`from_parts` with unregistered components cannot promise
         a faithful rebuild and raise :class:`EngineError`).
 
-        ``include_logs=False`` is the history-free **core**: every list
-        that grows with history rather than with live state is left out —
-        the scheduler's two logs and the graph's tombstone list (see
-        :meth:`SchedulerBase.snapshot_state`) and the ordered deletion
-        log in ``stats``.  A core is **not** restorable on its own:
-        persist :meth:`history_since` tails beside it and hand both to
+        The one history log rides in ``scheduler_state`` under the
+        format-3 delta keys (``results``, ``executed`` for a delaying
+        scheduler, ``deleted`` rows), so ``stats`` carries no
+        ``deleted_ids``.  ``include_logs=False`` is
+        the history-free **core**: the log and the graph's tombstone list
+        are left out, their lengths recorded instead.  A core is **not**
+        restorable on its own: persist :meth:`history_since` tails
+        beside it and hand both to
         ``repro.io.restore_engine(core, history=tails)``.
         """
         if self.config is None:
@@ -908,8 +873,7 @@ class Engine(_EngineFacade):
                 "register the scheduler/policy types (repro.registry) first"
             )
         stats = self.stats.as_dict()
-        if not include_logs:
-            del stats["deleted_ids"]
+        del stats["deleted_ids"]
         return {
             "format": SNAPSHOT_FORMAT,
             "config": self.config.as_dict(),
@@ -934,44 +898,26 @@ class Engine(_EngineFacade):
     # -- history protocol ----------------------------------------------------------
 
     def history_marks(self) -> Dict[str, Any]:
-        """How much of each history list exists now.  Plain data that
-        refers to no engine instance: marks stay meaningful for any
-        engine holding the same history (a restored copy, a replica)."""
-        marks = self.scheduler.history_marks()
-        marks["deleted"] = len(self.stats.deleted_ids)
-        return marks
+        """How much history exists now (:meth:`HistoryLog.marks`)."""
+        return self.scheduler.history.marks()
 
     def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
-        """The JSON-ready tail of every history list past *marks*.
-        Read-only — nothing advances, so a caller whose write of a tail
-        failed asks again with the same marks."""
-        delta = self.scheduler.history_since(marks)
-        delta["deleted"] = list(self.stats.deleted_ids[marks["deleted"] :])
-        return delta
+        """The rows past *marks* (:meth:`HistoryLog.since`)."""
+        return self.scheduler.history.since(marks)
 
     @staticmethod
     def splice_history(core: Dict[str, Any], deltas) -> None:
         """Make a ``snapshot(include_logs=False)`` *core* restorable, in
-        place, from the ordered :meth:`history_since` tails covering it.
-        A tail that is malformed, or lengths that disagree with the
-        core's markers, raise :class:`~repro.errors.SnapshotError`."""
-        Engine._install_history(core, deltas)
+        place, from the ordered :meth:`history_since` tails covering it
+        (:meth:`HistoryLog.splice`)."""
+        layout = set(HistoryLog.keys_of(core["scheduler_state"]))
+        Engine._install_history(core, deltas, layout)
 
     @staticmethod
-    def _install_history(core, deltas, *, shard: Optional[int] = None) -> None:
-        """Splice the tails this *core* needs (its scheduler's logs, then
-        deletions) — from a sharded delta's ``shard_<key>`` lists when
-        *shard* is given."""
-        keys = SchedulerBase.history_keys(core["scheduler_state"])
-        prefix = "" if shard is None else "shard_"
-        *logs, deleted = _gather_history(
-            deltas, *(prefix + key for key in keys + ("deleted",)), shard=shard
-        )
-        SchedulerBase.splice_history(
-            core["scheduler_state"], dict(zip(keys, logs)), deleted
-        )
-        # Deletion order here; the graph's tombstone list is sorted.
-        core["stats"]["deleted_ids"] = deleted
+    def _install_history(core, deltas, layout, *, shard=None) -> None:
+        """Splice the log this *core*'s scheduler needs — from a sharded
+        delta's ``shard_<key>`` lists when *shard* is given."""
+        HistoryLog.splice(core["scheduler_state"], deltas, layout, shard=shard)
 
     @classmethod
     def restore(
@@ -983,9 +929,10 @@ class Engine(_EngineFacade):
         """Rebuild a live engine from a :meth:`snapshot` payload.
 
         The restored engine continues exactly where the snapshot left off:
-        same graph, currency, input log, scheduler-variant state, stats,
-        and sweep cadence.  *observers* are attached fresh (observers are
-        not serialized) and see only post-restore events.
+        same graph, currency, history log (so :meth:`audit` answers as
+        before), scheduler-variant state, stats, and sweep cadence.
+        *observers* are attached fresh (observers are not serialized) and
+        see only post-restore events.
         """
         if not isinstance(snapshot, dict):
             raise SnapshotError(
@@ -994,6 +941,7 @@ class Engine(_EngineFacade):
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise SnapshotError(
                 f"unsupported engine snapshot format {snapshot.get('format')!r}"
+                f" (this build reads format {SNAPSHOT_FORMAT} only)"
             )
         try:
             config = EngineConfig(**snapshot["config"])
@@ -1100,29 +1048,17 @@ class ShardedEngine(_EngineFacade):
         self.config = config
         self.shard_count = shards
         self._router = FootprintRouter(shards)
-        self._deleted_ids: List[TxnId] = []
-        # Audit bookkeeping (process-lifetime, not serialized; see
-        # Engine).  Deletion ticks are stamped with the global logical
-        # tick current when the owning shard's sweep fired.
-        self._accept_pos: Dict[TxnId, int] = {}
-        self._deletion_ticks: Dict[TxnId, int] = {}
-        # Id-reuse tombstones: a deleted transaction's graph-level
-        # tombstone stays on the shard that deleted it and does not
-        # migrate with its group, so the router enforces the monolith's
-        # "ids are never reused" rule itself.  (Grows with deletions,
-        # exactly like the monolithic graph's _deleted set.)
-        self._deleted_set: set[TxnId] = set()
+        # The global record: one result per fed step, every deletion at
+        # the global tick of its shard's sweep.  Its deletions are the
+        # id-reuse tombstones: a graph's tombstone stays on the deleting
+        # shard, so the router enforces "ids are never reused" itself.
+        self.history = HistoryLog()
         self._engines: List[Engine] = [
             Engine(config, observers=[self._make_collector()])
             for _ in range(shards)
         ]
         self._aborted: set[TxnId] = set()
         self._pending_begin: Dict[TxnId, Step] = {}
-        # One StepResult per fed step, in arrival order — the global
-        # record (each result carries its step, so no separate input log
-        # is kept; per-shard schedulers log only their own traffic).
-        self._results: List[StepResult] = []
-        self._steps_fed = 0
         self._ticks = 0
         # System-wide totals, maintained incrementally: per-shard
         # contributions are refreshed only for the shard that was just
@@ -1143,11 +1079,9 @@ class ShardedEngine(_EngineFacade):
         live-set maintenance."""
 
         def on_delete(_engine: Engine, deleted, _step_index: int) -> None:
-            self._deleted_ids.extend(deleted)
-            self._deleted_set.update(deleted)
             for txn in deleted:
+                self.history.record_deletion(self._ticks, txn)
                 self._router.on_txn_removed(txn)
-                self._deletion_ticks[txn] = self._ticks
 
         return CallbackObserver(on_delete=on_delete)
 
@@ -1178,14 +1112,7 @@ class ShardedEngine(_EngineFacade):
             result = StepResult(step, Decision.IGNORED)
         else:
             result = self._route_and_feed(step)
-        self._steps_fed += 1
-        if (
-            result.accepted
-            and isinstance(step, (Begin, BeginDeclared))
-            and step.txn not in self._accept_pos
-        ):
-            self._accept_pos[step.txn] = self._steps_fed
-        self._results.append(result)
+        self.history.record_result(result)
         if result.aborted:
             self._aborted.update(result.aborted)
             for txn in result.aborted:
@@ -1210,7 +1137,7 @@ class ShardedEngine(_EngineFacade):
 
     def _route_and_feed(self, step: Step) -> StepResult:
         txn = step.txn
-        if isinstance(step, (Begin, BeginDeclared)) and txn in self._deleted_set:
+        if isinstance(step, _BEGIN_STEPS) and txn in self.history.deleted_at:
             # The deleting shard's graph holds the tombstone, but the
             # group may since have migrated elsewhere; enforce the
             # monolith's id-reuse rule here so the error is identical.
@@ -1321,13 +1248,11 @@ class ShardedEngine(_EngineFacade):
         one by the number of concurrently pending BEGINs.
         """
         merged = GcStats(
-            steps_fed=self._steps_fed,
-            deletions=len(self._deleted_ids),
+            steps_fed=len(self.history.results),
+            deletions=len(self.history.deleted),
             peak_graph_size=self._peak_live_total,
             peak_retained_completed=self._peak_completed_total,
-            # The live log, as on Engine: a copy here would make every
-            # stats read cost O(history).
-            deleted_ids=self._deleted_ids,
+            deleted_ids=self.history.deleted,
         )
         for engine in self._engines:
             merged.policy_invocations += engine.stats.policy_invocations
@@ -1348,7 +1273,7 @@ class ShardedEngine(_EngineFacade):
 
     @property
     def step_index(self) -> int:
-        return self._steps_fed
+        return len(self.history.results)
 
     @property
     def sweeps_run(self) -> int:
@@ -1379,10 +1304,10 @@ class ShardedEngine(_EngineFacade):
 
     def deleted_transactions(self) -> FrozenSet[TxnId]:
         """Ids removed by any shard's sweeps (the global tombstone set)."""
-        return frozenset(self._deleted_set)
+        return frozenset(self.history.deleted)
 
     def _fate(self, txn: TxnId) -> Tuple[str, Optional[str]]:
-        if txn in self._deleted_set:
+        if txn in self.history.deleted_at:
             return "deleted", None
         if txn in self._pending_begin:
             # A deferred (footprint-less) BEGIN: the router accepted it,
@@ -1408,11 +1333,11 @@ class ShardedEngine(_EngineFacade):
             for engine in self._engines:
                 committed |= engine.graph.committed_transactions()
             return Schedule(
-                tuple(result.step for result in self._results)
+                tuple(result.step for result in self.history.results)
             ).projection(committed)
         delaying = hasattr(self._engines[0].scheduler, "waiting_transactions")
         executed: List[Step] = []
-        for result in self._results:
+        for result in self.history.results:
             if result.decision is Decision.ACCEPTED and not (
                 delaying and isinstance(result.step, (Begin, BeginDeclared))
             ):
@@ -1443,8 +1368,8 @@ class ShardedEngine(_EngineFacade):
     def __repr__(self) -> str:
         return (
             f"ShardedEngine(shards={self.shard_count}, "
-            f"policy={self.policy.name!r}, steps={self._steps_fed}, "
-            f"deletions={len(self._deleted_ids)}, "
+            f"policy={self.policy.name!r}, steps={self.step_index}, "
+            f"deletions={len(self.history.deleted)}, "
             f"migrations={self._router.migrations})"
         )
 
@@ -1454,19 +1379,17 @@ class ShardedEngine(_EngineFacade):
         """A JSON-ready checkpoint of the whole sharded loop.
 
         Format-versioned and bit-exact: every shard's engine snapshot
-        (kernel layout included), the router's union-find forest and
-        shard assignments as they stand, deferred BEGINs, the global
-        per-step result log (one result per fed step; each result carries
-        its step, so no separate global input log exists — though each
-        shard's own scheduler log still records the traffic it processed,
-        as any scheduler does), and the merged counters.  Restore followed
-        by re-snapshot yields an identical payload.
+        (kernel layout and own history log included), the router's
+        union-find forest and shard assignments as they stand, deferred
+        BEGINs, the router's history log (``results``, one per fed step,
+        and ``deleted`` rows at global ticks), and the merged counters.
+        Restore followed by re-snapshot yields an identical payload.
 
         ``include_logs=False`` is the history-free core, as on
-        :meth:`Engine.snapshot`: length markers replace the global result
-        and deletion logs, and every shard contributes its own core.
+        :meth:`Engine.snapshot`: length markers replace the router's log,
+        and every shard contributes its own core.
         """
-        from repro.io import history_result_to_row, step_to_dict
+        from repro.io import step_to_dict
 
         payload = {
             "format": SHARDED_SNAPSHOT_FORMAT,
@@ -1484,61 +1407,37 @@ class ShardedEngine(_EngineFacade):
             ],
             "aborted": sorted(self._aborted),
             "engine": {
-                "steps_fed": self._steps_fed,
                 "ticks": self._ticks,
                 "peak_live_total": self._peak_live_total,
                 "peak_completed_total": self._peak_completed_total,
             },
         }
-        if include_logs:
-            payload["deleted_ids"] = list(self._deleted_ids)
-            payload["results"] = [
-                history_result_to_row(r) for r in self._results
-            ]
-        else:
-            payload["deleted_ids_len"] = len(self._deleted_ids)
-            payload["results_len"] = len(self._results)
+        self.history.write(payload, include_logs=include_logs)
         return payload
 
     # -- history protocol (see Engine) ----------------------------------------------
 
     def history_marks(self) -> Dict[str, Any]:
-        return {
-            "results": len(self._results),
-            "deleted": len(self._deleted_ids),
-            "shards": [engine.history_marks() for engine in self._engines],
-        }
+        marks = self.history.marks()
+        marks["shards"] = [engine.history_marks() for engine in self._engines]
+        return marks
 
     def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
-        """The global result and deletion tails, and every shard's tails
-        regrouped per key: ``shard_<key>`` holds one list per shard."""
-        from repro.io import history_result_to_row
-
-        tails = [
-            engine.history_since(shard_marks)
-            for engine, shard_marks in zip(self._engines, marks["shards"])
-        ]
-        delta = {
-            "results": [
-                history_result_to_row(r) for r in self._results[marks["results"] :]
-            ],
-            "deleted": list(self._deleted_ids[marks["deleted"] :]),
-        }
-        for key in tails[0]:
-            delta["shard_" + key] = [tail[key] for tail in tails]
+        """The router log's tails, and every shard's tails regrouped per
+        key: ``shard_<key>`` holds one list per shard."""
+        tails = [e.history_since(m) for e, m in zip(self._engines, marks["shards"])]
+        delta = self.history.since(marks)
+        delta.update(("shard_" + key, [t[key] for t in tails]) for key in tails[0])
         return delta
 
     @staticmethod
     def splice_history(core: Dict[str, Any], deltas) -> None:
-        results, deleted = _gather_history(deltas, "results", "deleted")
-        core["results"] = take_length_marker(
-            core, "results_len", results, "global results"
-        )
-        core["deleted_ids"] = take_length_marker(
-            core, "deleted_ids_len", deleted, "deleted ids"
-        )
+        shard_keys = HistoryLog.keys_of(core["shards"][0]["scheduler_state"])
+        layout = set(HistoryLog.keys_of(core))
+        layout.update("shard_" + key for key in shard_keys)
+        HistoryLog.splice(core, deltas, layout)
         for shard, shard_core in enumerate(core["shards"]):
-            Engine._install_history(shard_core, deltas, shard=shard)
+            Engine._install_history(shard_core, deltas, layout, shard=shard)
 
     @classmethod
     def restore(
@@ -1548,7 +1447,7 @@ class ShardedEngine(_EngineFacade):
         observers: Iterable[EngineObserver] = (),
     ) -> "ShardedEngine":
         """Rebuild a live sharded engine from a :meth:`snapshot` payload."""
-        from repro.io import history_result_from_row, step_from_dict
+        from repro.io import step_from_dict
 
         if not isinstance(snapshot, dict):
             raise SnapshotError(
@@ -1562,17 +1461,15 @@ class ShardedEngine(_EngineFacade):
             raise SnapshotError(
                 f"unsupported sharded snapshot stamp "
                 f"(format={snapshot.get('format')!r}, "
-                f"kind={snapshot.get('kind')!r})"
+                f"kind={snapshot.get('kind')!r}; this build reads format "
+                f"{SHARDED_SNAPSHOT_FORMAT} only)"
             )
         try:
             engine = cls.__new__(cls)
             engine.config = EngineConfig(**snapshot["config"])
             engine.shard_count = int(snapshot["shard_count"])
             engine._router = FootprintRouter.from_state(snapshot["router"])
-            engine._deleted_ids = list(snapshot.get("deleted_ids", ()))
-            engine._deleted_set = set(engine._deleted_ids)
-            engine._accept_pos = {}
-            engine._deletion_ticks = {}
+            engine.history = HistoryLog.from_rows(snapshot)
             engine._aborted = set(snapshot.get("aborted", ()))
             engine._pending_begin = {}
             for item in snapshot.get("pending", ()):
@@ -1588,7 +1485,6 @@ class ShardedEngine(_EngineFacade):
                     "serialized shard list"
                 )
             counters = snapshot["engine"]
-            engine._steps_fed = int(counters["steps_fed"])
             engine._ticks = int(counters["ticks"])
             engine._shard_live = [len(e.graph) for e in engine._engines]
             engine._shard_completed = [
@@ -1600,9 +1496,6 @@ class ShardedEngine(_EngineFacade):
             engine._peak_completed_total = int(
                 counters["peak_completed_total"]
             )
-            engine._results = [
-                history_result_from_row(row) for row in snapshot["results"]
-            ]
             engine._extra_observers = []
         except (KeyError, ValueError, TypeError) as exc:
             raise SnapshotError(

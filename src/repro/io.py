@@ -47,6 +47,8 @@ __all__ = [
     "history_step_from_row",
     "history_result_to_row",
     "history_result_from_row",
+    "history_deletions_to_rows",
+    "history_deletions_from_rows",
     "currency_to_dict",
     "currency_from_dict",
     "schedule_to_list",
@@ -141,9 +143,8 @@ def graph_to_dict(
     human audit and cross-checks.
 
     ``include_deleted=False`` omits the ``deleted`` tombstone list — the
-    one section that grows with *history* rather than live state (O(d
-    log d) to build); see :meth:`repro.engine.Engine.snapshot` for what
-    puts it back.
+    one section that grows with *history* rather than live state; an
+    engine's snapshot takes it from its history log instead.
 
     Not allowed while a deletion trial is open: the payload would record
     the to-be-rolled-back deletions as permanent and serialize their
@@ -393,17 +394,18 @@ def step_result_from_dict(item: Dict[str, Any]):
 # History rows (snapshot logs and checkpoint deltas)
 # ---------------------------------------------------------------------------
 #
-# Every list that grows with history — a scheduler's input, result and
-# execution logs, a sharded engine's global results — is written as
-# positional rows, not as the self-describing dicts above: a history
-# entry is written once per step and read back only by a restore, so the
-# field names would be most of the bytes.  The dict codecs stay what the
-# wire, the WAL and live-state sections use.
+# Every list that grows with history — a scheduler's result and
+# execution logs, a sharded engine's global results, the deletions — is
+# written as positional rows, not as the self-describing dicts above: a
+# history entry is written once per step and read back only by a
+# restore, so the field names would be most of the bytes.  The dict
+# codecs stay what the wire, the WAL and live-state sections use.
 #
 # A step row is ``[tag, txn, payload?]``; a result row is ``[step_row]``
 # when accepted with every other field empty, else ``[step_row, code,
 # arcs, aborted, committed, released_rows, blocked_on]`` with trailing
-# empty fields trimmed (DESIGN.md §2.7 prints the table).
+# empty fields trimmed (DESIGN.md §2.7 prints the table); a deletion row
+# is ``[tick, txn, ...]``, one per deleting sweep.
 
 _ROW_TAGS = {
     Begin: "b",
@@ -528,6 +530,32 @@ def history_result_from_row(row):
         ),
         blocked_on=_ids(blocked_on, "blocked_on"),
     )
+
+
+def history_deletions_to_rows(txns, tick_of) -> list:
+    """Encode a deletion-order tail as ``[tick, txn, ...]`` rows: one row
+    per run of deletions at one tick, i.e. one per deleting sweep."""
+    rows: list = []
+    for txn in txns:
+        tick = tick_of[txn]
+        if rows and rows[-1][0] == tick:
+            rows[-1].append(txn)
+        else:
+            rows.append([tick, txn])
+    return rows
+
+
+def history_deletions_from_rows(rows) -> List[tuple]:
+    """Inverse of :func:`history_deletions_to_rows`, as ``(tick, txn)``
+    pairs; a row that is not ``[int, id, ...]`` raises ModelError."""
+    pairs = []
+    for row in _list(rows, "deletion rows"):
+        if type(row) is not list or len(row) < 2 or type(row[0]) is not int:
+            raise ModelError(
+                f"history deletion row must be [tick, txn, ...], got {row!r}"
+            )
+        pairs.extend((row[0], txn) for txn in _ids(row[1:], "deleted ids"))
+    return pairs
 
 
 # -- field checks shared by the dict and row decoders --------------------------

@@ -2,8 +2,9 @@
 
 :class:`SchedulerBase` owns the bookkeeping every variant shares:
 
-* the raw input stream (every step ever fed, accepted or not) — the
-  paper's schedule ``s``;
+* the history log (:class:`~repro.scheduler.history.HistoryLog`): one
+  result per step processed, whose steps are the paper's input schedule
+  ``s``;
 * the accepted subschedule (projection on non-aborted transactions);
 * per-entity *currency* tracking — for each entity, who wrote the current
   value and who has read it since: the input to Corollary 1's
@@ -27,31 +28,15 @@ from repro.io import (
     currency_to_dict,
     graph_from_dict,
     graph_to_dict,
-    history_result_from_row,
-    history_result_to_row,
-    history_step_from_row,
-    history_step_to_row,
 )
 from repro.model.entities import Entity
 from repro.model.schedule import Schedule
 from repro.model.steps import Step, TxnId
 from repro.scheduler.events import Decision, StepResult
+from repro.scheduler.history import HistoryLog
 from repro.tracking import CurrencyTracker
 
 __all__ = ["SchedulerBase", "CurrencyTracker"]
-
-
-def take_length_marker(section: Dict[str, Any], marker: str, chain: list, what: str):
-    """Pop the length a history-free snapshot *section* recorded under
-    *marker* and return *chain*, refusing a reconstruction of any other
-    length (a marker an older writer did not record checks nothing)."""
-    expected = section.pop(marker, None)
-    if expected is not None and expected != len(chain):
-        raise SnapshotError(
-            f"core expects {expected} {what} but the history reconstructs "
-            f"{len(chain)}"
-        )
-    return chain
 
 
 class SchedulerBase(ABC):
@@ -59,8 +44,8 @@ class SchedulerBase(ABC):
 
     #: A delaying scheduler (strict 2PL, predeclared) executes a step later
     #: than it arrives, so execution order is a history list of its own —
-    #: ``_executed``, appended by its ``_process`` — rather than the
-    #: accepted prefix of the results.
+    #: ``history.executed``, appended by its ``_process`` — rather than
+    #: the accepted prefix of the results.
     delays = False
 
     def __init__(self, graph: Optional[ReducedGraph] = None) -> None:
@@ -69,9 +54,7 @@ class SchedulerBase(ABC):
         self.graph: ReducedGraph = graph if graph is not None else ReducedGraph()
         self.currency = CurrencyTracker()
         self._enter_residents()  # a seeded graph's nodes hold nothing yet
-        self._input_log: List[Step] = []
-        self._results: List[StepResult] = []
-        self._executed: List[Step] = []
+        self.history = HistoryLog(delays=self.delays)
         self._aborted: Set[TxnId] = set()
 
     # -- driving --------------------------------------------------------------
@@ -81,14 +64,14 @@ class SchedulerBase(ABC):
 
         Steps of transactions that already aborted are IGNORED without
         touching the variant's rules (§2: the arriving stream may contain
-        steps of meanwhile-aborted transactions).
+        steps of meanwhile-aborted transactions).  A step whose
+        ``_process`` raises is refused and recorded nowhere.
         """
-        self._input_log.append(step)
         if step.txn in self._aborted:
             result = StepResult(step, Decision.IGNORED)
         else:
             result = self._process(step)
-        self._results.append(result)
+        self.history.record_result(result)
         self._aborted.update(result.aborted)
         return result
 
@@ -113,12 +96,13 @@ class SchedulerBase(ABC):
 
     @property
     def input_schedule(self) -> Schedule:
-        """Every step ever fed — the paper's raw stream ``s``."""
-        return Schedule(tuple(self._input_log))
+        """Every step processed — the paper's raw stream ``s`` (a refused
+        step, whose processing raised, is not part of it)."""
+        return Schedule(tuple(result.step for result in self.history.results))
 
     @property
     def results(self) -> Tuple[StepResult, ...]:
-        return tuple(self._results)
+        return tuple(self.history.results)
 
     @property
     def aborted(self) -> FrozenSet[TxnId]:
@@ -139,10 +123,10 @@ class SchedulerBase(ABC):
         input; a delaying one records its own order.
         """
         if self.delays:
-            return Schedule(tuple(self._executed))
+            return Schedule(tuple(self.history.executed))
         executed = [
             result.step
-            for result in self._results
+            for result in self.history.results
             if result.decision is Decision.ACCEPTED
         ]
         return Schedule(tuple(executed))
@@ -152,9 +136,11 @@ class SchedulerBase(ABC):
 
         Structural operation only — callers (deletion policies, the runner)
         are responsible for checking the governing safety condition first.
+        The history log records it at this scheduler's step count.
         """
         self.graph.delete(txn)
         self.currency.on_leave(txn)
+        self.history.record_deletion(len(self.history.results), txn)
 
     def delete_transactions(self, txns: Iterable[TxnId]) -> None:
         for txn in txns:
@@ -165,111 +151,31 @@ class SchedulerBase(ABC):
     def snapshot_state(self, *, include_logs: bool = True) -> Dict[str, Any]:
         """A JSON-ready dict of the complete scheduler state.
 
-        Captures the reduced graph (via the :mod:`repro.io` serializers),
-        the currency tracker, the history logs as rows (the raw input log,
-        every recorded :class:`StepResult`, and a delaying scheduler's
-        execution order), the aborted set, and whatever variant-specific
-        live state :meth:`_snapshot_extra` contributes (parked step
-        queues, lock tables, certification clocks, ...).
-
-        ``include_logs=False`` omits the sections that grow with history
-        — the logs and the graph's tombstone list — and records each
-        log's length instead; :meth:`splice_history` puts them back
-        before :meth:`restore_state`, which always expects a complete
-        payload (the contract: :meth:`Engine.snapshot`).
+        Captures the reduced graph, the currency tracker, the aborted set,
+        the history log as rows, and whatever variant-specific live state
+        :meth:`_snapshot_extra` contributes (parked step queues, lock
+        tables, certification clocks, ...); the graph's tombstones are the
+        log's deletions.  ``include_logs=False`` leaves the log out,
+        recording lengths instead (:meth:`HistoryLog.splice` puts it back;
+        the contract: :meth:`Engine.snapshot`).
         """
         state = {
-            "graph": graph_to_dict(self.graph, include_deleted=include_logs),
+            "graph": graph_to_dict(self.graph, include_deleted=False),
             "currency": currency_to_dict(self.currency),
             "aborted": sorted(self._aborted),
             "extra": self._snapshot_extra(),
         }
-        if include_logs:
-            state["input_log"] = [history_step_to_row(s) for s in self._input_log]
-            state["results"] = [history_result_to_row(r) for r in self._results]
-            if self.delays:
-                state["executed"] = [
-                    history_step_to_row(s) for s in self._executed
-                ]
-        else:
-            # The logs can differ in length: feed() records the step in
-            # the input log *before* _process, which may raise without
-            # producing a result.  Every length is needed to validate a
-            # spliced reconstruction.
-            state["log_len"] = len(self._results)
-            state["input_len"] = len(self._input_log)
-            if self.delays:
-                state["executed_len"] = len(self._executed)
+        self.history.write(state, include_logs=include_logs)
         return state
-
-    def history_marks(self) -> Dict[str, Any]:
-        """Current length of each log — one mark per log, for the reason
-        :meth:`snapshot_state` records every length."""
-        marks = {"results": len(self._results), "input": len(self._input_log)}
-        if self.delays:
-            marks["executed"] = len(self._executed)
-        return marks
-
-    def history_since(self, marks: Dict[str, Any]) -> Dict[str, Any]:
-        """The tails of the logs past *marks*, as history rows."""
-        delta = {
-            "results": [
-                history_result_to_row(r) for r in self._results[marks["results"] :]
-            ],
-            "input": [
-                history_step_to_row(s) for s in self._input_log[marks["input"] :]
-            ],
-        }
-        if self.delays:
-            delta["executed"] = [
-                history_step_to_row(s) for s in self._executed[marks["executed"] :]
-            ]
-        return delta
-
-    @staticmethod
-    def history_keys(state: Dict[str, Any]) -> Tuple[str, ...]:
-        """The log tails a core *state* needs back, as
-        :meth:`history_since` names them (the core's markers say)."""
-        if "executed_len" in state:
-            return ("results", "input", "executed")
-        return ("results", "input")
-
-    @staticmethod
-    def splice_history(
-        state: Dict[str, Any], logs: Dict[str, list], deleted: list
-    ) -> None:
-        """Inverse of ``snapshot_state(include_logs=False)``: put the
-        reconstructed *logs* (keyed as :meth:`history_keys` names them)
-        and tombstones back into *state*."""
-        state["results"] = take_length_marker(
-            state, "log_len", logs["results"], "scheduler log entries"
-        )
-        state["input_log"] = take_length_marker(
-            state, "input_len", logs["input"], "input-log entries"
-        )
-        if "executed" in logs:
-            state["executed"] = take_length_marker(
-                state, "executed_len", logs["executed"], "executed steps"
-            )
-        state["graph"]["deleted"] = sorted(deleted)
 
     def restore_state(self, payload: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot_state`; overwrites this instance."""
         try:
-            self.graph = graph_from_dict(payload["graph"])
+            self.history = HistoryLog.from_rows(payload, delays=self.delays)
+            graph = {**payload["graph"], "deleted": self.history.deleted}
+            self.graph = graph_from_dict(graph)
             self.currency = currency_from_dict(payload["currency"])
             self._enter_residents()
-            self._input_log = [
-                history_step_from_row(row) for row in payload["input_log"]
-            ]
-            self._results = [
-                history_result_from_row(row) for row in payload["results"]
-            ]
-            self._executed = (
-                [history_step_from_row(row) for row in payload["executed"]]
-                if self.delays
-                else []
-            )
             self._aborted = set(payload["aborted"])
         except (KeyError, ValueError, TypeError) as exc:
             raise SnapshotError(f"malformed scheduler snapshot: {exc}") from exc
@@ -310,8 +216,8 @@ class SchedulerBase(ABC):
         pair), the currency rows of the group's entities, and whatever
         variant-specific state :meth:`_extract_extra_group` contributes
         (parked step queues, lock-table rows, certification times, ...).
-        The input/result logs stay behind: they are arrival history of
-        *this* scheduler, consulted only by views, never by decisions.
+        The history log stays behind: it is arrival history of *this*
+        scheduler, consulted only by views, never by decisions.
 
         The returned payload holds **live objects** — it is an in-process
         handoff, not a serialization format (snapshots are).

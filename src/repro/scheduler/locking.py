@@ -125,7 +125,7 @@ class StrictTwoPhaseLocking(SchedulerBase):
         """Commit order.  Every commit is reported by exactly one result
         (a step's own final write, or a released one's), so the results
         log is the record — no list of its own to carry forever."""
-        return tuple(txn for result in self._results for txn in result.committed)
+        return tuple(t for r in self.history.results for t in r.committed)
 
     def waiting_transactions(self) -> Dict[TxnId, Tuple[Step, ...]]:
         return {txn: tuple(q) for txn, q in self._pending.items() if q}
@@ -285,13 +285,13 @@ class StrictTwoPhaseLocking(SchedulerBase):
         if isinstance(step, Read):
             self._locks.grant_shared(step.txn, step.entity)
             self.currency.on_read(step.txn, step.entity)
-            self._executed.append(step)
+            self.history.executed.append(step)
             return ()
         assert isinstance(step, Write)
         for entity in step.entities:
             self._locks.grant_exclusive(step.txn, entity)
             self.currency.on_write(step.txn, entity)
-        self._executed.append(step)
+        self.history.executed.append(step)
         # Strict 2PL: commit and close at the final write.
         self._locks.release_all(step.txn)
         self._active.discard(step.txn)

@@ -216,7 +216,7 @@ class PredeclaredScheduler(SchedulerBase):
                     f"accesses remaining: {sorted(info.future)}"
                 )
             self.graph.set_state(step.txn, TxnState.COMMITTED)
-            self._executed.append(step)
+            self.history.executed.append(step)
             return ([], [step.txn])
 
         mode = AccessMode.WRITE if isinstance(step, WriteItem) else AccessMode.READ
@@ -238,7 +238,7 @@ class PredeclaredScheduler(SchedulerBase):
             self.currency.on_write(step.txn, entity)
         else:
             self.currency.on_read(step.txn, entity)
-        self._executed.append(step)
+        self.history.executed.append(step)
         return (new_arcs, [])
 
     def _validate_declared(self, txn: TxnId, entity: Entity, mode: AccessMode) -> None:

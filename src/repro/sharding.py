@@ -156,7 +156,7 @@ class FootprintRouter:
     Memory: entity keys are bounded by the entity population, but
     transaction keys accumulate with history (union-find forests do not
     support deletion) — the same growth class as a monolithic scheduler's
-    tombstone sets and input logs, and orders of magnitude below the
+    tombstone sets and history logs, and orders of magnitude below the
     closure state the sharding bounds.
     """
 

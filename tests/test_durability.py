@@ -325,10 +325,10 @@ class TestDurableEngine:
         total = sum(len(p["delta"]["results"]) for p in payloads)
         assert total == latest["seq"]
 
-    def test_rejected_steps_survive_recovery_in_the_input_log(self, tmp_path):
-        """A step whose processing *raises* is recorded in the input log
-        but produces no result; the checkpoint delta chain must carry it
-        (deriving the input log from results would silently drop it)."""
+    def test_rejected_steps_leave_no_trace_across_recovery(self, tmp_path):
+        """A step whose processing *raises* is refused: it produces no
+        result and is recorded in no history list, so a chain whose
+        checkpoint covers it recovers to the engine that never saw it."""
         from repro.errors import SchedulerError
 
         stream = _stream()
@@ -346,9 +346,10 @@ class TestDurableEngine:
                 except SchedulerError:
                     pass
 
+        refused = Read("T-unknown", "x")  # raises: no BEGIN ever seen
         for step in stream[:10]:
             feed_both(step)
-        feed_both(Read("T-unknown", "x"))  # raises: no BEGIN ever seen
+        feed_both(refused)
         for step in stream[10:20]:
             feed_both(step)
         # crash AFTER a checkpoint covered the raising step
@@ -358,9 +359,23 @@ class TestDurableEngine:
         assert engine_snapshot_to_json(
             recovered.engine.snapshot()
         ) == engine_snapshot_to_json(oracle.snapshot())
-        assert [str(s) for s in recovered.engine.scheduler.input_schedule] == [
-            str(s) for s in oracle.scheduler.input_schedule
-        ]
+        for engine in (recovered.engine, oracle):
+            assert refused not in engine.scheduler.input_schedule
+
+    def test_assigning_an_engine_name_is_refused(self, tmp_path):
+        """A public name the wrapper does not own belongs to the engine:
+        setting it on the wrapper would shadow the engine's value, so
+        reads and the engine's behaviour would part ways."""
+        durable = _durable(tmp_path, sweep_interval=32)
+        durable.close()
+        resumed = recover(tmp_path / "wal")
+        with pytest.raises(DurabilityError, match="sweep_interval"):
+            resumed.sweep_interval = 64
+        assert resumed.sweep_interval == resumed.engine.sweep_interval == 32
+        resumed.engine.sweep_interval = 64  # the engine's own knob still works
+        assert resumed.sweep_interval == 64
+        resumed.checkpoint_interval = 8  # the wrapper's own names stay settable
+        resumed.close()
 
     def test_clean_shutdown_recovers_without_replay(self, tmp_path):
         durable = _durable(tmp_path)

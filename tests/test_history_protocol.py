@@ -114,13 +114,12 @@ def test_core_plus_tails_restores_byte_identically(
             mid_cadence += 1  # a monolith's cut between two sweeps
         chain.cut()
         if index == cuts[2]:
-            # A cut right after a raising step: input-logged, no result,
-            # so the two log marks part ways and both must be carried.
+            # A cut right after a raising step: the step was refused, so
+            # it left no trace in any list.
             with pytest.raises(ReproError):
                 engine.feed(Read("never-begun", "x"))
             delta, _restored = chain.cut()
-            assert not delta["results"] and not delta["deleted"]
-            assert not _is_empty(delta)
+            assert _is_empty(delta)
         if index == cuts[4]:
             # An explicit sweep and a flush between two cuts.
             engine.sweep()
@@ -133,7 +132,9 @@ def test_core_plus_tails_restores_byte_identically(
     assert mid_cadence
     # The tails partition the deletion log (strict 2PL keeps no graph to
     # delete from).
-    deleted = [txn for delta in chain.deltas for txn in delta["deleted"]]
+    deleted = [
+        txn for delta in chain.deltas for row in delta["deleted"] for txn in row[1:]
+    ]
     assert deleted == engine.stats.deleted_ids
     assert deleted or scheduler == "strict-2pl"
     # The restored engine is live, not a picture: it continues in step.
@@ -202,7 +203,7 @@ def test_malformed_or_short_history_is_refused(shards):
     with pytest.raises(SnapshotError, match="history reconstructs"):
         restore(deltas[1:])
     # A link that lost a key names its position in the chain.
-    lost_key = "input" if shards == 1 else "shard_input"
+    lost_key = "results" if shards == 1 else "shard_results"
     damaged = [deltas[0], {k: v for k, v in deltas[1].items() if k != lost_key}]
     with pytest.raises(SnapshotError, match="delta 2 of 2 is malformed"):
         restore(damaged)

@@ -1,8 +1,8 @@
 """History as rows: the one codec every serialized history list uses.
 
-A scheduler's input, result and execution logs and a sharded engine's
-global results are written — in full snapshots and in checkpoint deltas
-alike — as positional rows (``repro.io.history_step_to_row`` /
+A scheduler's result and execution logs and a sharded engine's global
+results are written — in full snapshots and in checkpoint deltas alike —
+as positional rows (``repro.io.history_step_to_row`` /
 ``history_result_to_row``), not as the self-describing dicts the wire
 and the WAL use.  Pinned here:
 
@@ -141,7 +141,7 @@ def test_real_results_of_every_scheduler_round_trip(
     )
     engine.feed_batch(_stream(streamer), flush=True)
     loops = [engine] if shards == 1 else list(engine.shards)
-    seen = list(engine._results) if shards > 1 else []
+    seen = list(engine.history.results) if shards > 1 else []
     logged_steps = []
     for loop in loops:
         seen.extend(loop.scheduler.results)
@@ -212,6 +212,8 @@ def test_a_malformed_row_in_a_delta_aborts_every_reader(tmp_path, name, log, row
     checkpoints = _crashed(wal)
     assert len(checkpoints) >= 3
     payload = json.loads(checkpoints[1].read_text())
+    if log == "input":  # a step row lives inside a result row
+        log, row = "results", [row]
     payload["delta"][log][0] = row
     checkpoints[1].write_text(json.dumps(payload))
     latest_seq = json.loads(checkpoints[-1].read_text())["seq"]

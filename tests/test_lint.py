@@ -780,7 +780,9 @@ class TestSelfRun:
             assert "ShardedEngine" not in text, name
             assert not re.search(r"\b_sharded\b|\.sharded\b", text), name
             assert not re.search(
-                r"\._results\b|\._input_log\b|\._deleted_ids\b", text
+                r"\._results\b|\._input_log\b|\._deleted_ids\b"
+                r"|\.history\.(?:results|executed|deleted|accepted_at|deleted_at)\b",
+                text,
             ), name
             for node in ast.walk(ast.parse(text)):
                 if (

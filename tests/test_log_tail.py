@@ -186,7 +186,7 @@ def _rewrite_checkpoint(path, edit):
 def delta_lost_a_key(tmp):
     wal = _crashed(tmp / "wal", steps=len(STREAM), checkpoint_interval=8)
     _rewrite_checkpoint(
-        _checkpoints(wal)[1], lambda payload: payload["delta"].pop("input")
+        _checkpoints(wal)[1], lambda payload: payload["delta"].pop("results")
     )
     return None, wal
 
@@ -197,7 +197,7 @@ def delta_with_a_short_shard_list(tmp):
     )
     _rewrite_checkpoint(
         _checkpoints(wal)[1],
-        lambda payload: payload["delta"]["shard_input"].pop(),
+        lambda payload: payload["delta"]["shard_results"].pop(),
     )
     return None, wal
 
@@ -208,7 +208,7 @@ def core_disagrees_with_the_chain(tmp):
     wal = _crashed(tmp / "wal", steps=len(STREAM), checkpoint_interval=8)
 
     def edit(payload):
-        payload["core"]["scheduler_state"]["input_len"] += 1
+        payload["core"]["scheduler_state"]["log_len"] += 1
 
     _rewrite_checkpoint(_checkpoints(wal)[-1], edit)
     return None, wal

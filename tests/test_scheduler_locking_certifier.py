@@ -209,3 +209,14 @@ class TestCertifier:
         scheduler = Certifier()
         with pytest.raises(SchedulerError):
             scheduler.feed(Read("T9", "x"))
+
+    def test_a_refused_step_is_not_in_the_accepted_subschedule(self):
+        """A step whose processing raises is refused: it appears in no
+        history list, so no view projected from one shows it."""
+        steps = [Begin("T1"), Read("T1", "x"), Write("T1", {"x"})]
+        scheduler, _ = run_cert(steps)
+        with pytest.raises(SchedulerError):
+            scheduler.feed(Read("T1", "y"))  # T1 already completed
+        accepted = scheduler.accepted_subschedule()
+        assert [str(step) for step in accepted] == [str(step) for step in steps]
+        assert Read("T1", "y") not in scheduler.input_schedule

@@ -7,8 +7,11 @@ every writer path — cadence checkpoints, an explicit ``sweep()``, a
 ``feed_batch(flush=True)``, ``flush_pending()``, a crash, ``recover()``,
 more writes on the resumed chain, a closing checkpoint — is hashed file
 by file and compared against digests computed at the commit that froze
-the format: the one that wrote history as rows (checkpoint, snapshot and
-sharded-snapshot format 2), whose parent is bfca36d.
+the format: the one that kept one history log per engine (checkpoint,
+snapshot and sharded-snapshot format 3: each step recorded once, as a
+result row, and deletions as ``[tick, txn, ...]`` rows), whose parent
+is f38cc97.  Format 2 (history as rows, whose parent is bfca36d) wrote
+every step twice, once as an input row.
 
 A digest that changes means old directories no longer recover
 byte-identically: bump the format constants and regenerate the table in
@@ -47,44 +50,44 @@ CASES = {
 #: (tail truncated, full delta chain).
 GOLDEN = {
     ("certifier", 1): (
-        "d3bafd337bd77ac54f370eeee7be85bfc570eb0a8dd393a316012c7310eccfe6",
-        "a1584822a8147b35ec88ae35cc54ef32f40d35875563e70aa1a6f2795d48c297",
+        "e9a0512e556551c8590e35a15f0403a82637f0be2f71ff0e93c5439d59f82174",
+        "6b5be0ba28cdd06c0b02ca914fc70eff3885cd2f5e5229acf5fd928a4817ce80",
     ),
     ("certifier", 4): (
-        "0010519e5793031bf608af2425ec3d15ba23bedaedf0acb8d59922737af8fa44",
-        "223d7457aac8802c51e94e15acda3032431f4b5f13a2cba102b96efef04a9eac",
+        "44c7a88ecba31ef4769b67424f991d4d5fca65111cafd72aeff0f18c74f7b159",
+        "d1d34d7403002ae5517d138b46560aaf6d5018d7e30f5cd4993d8e21652ad2cb",
     ),
     ("conflict-graph", 1): (
-        "3da5f1420c58688cf1196aad5f996eececde37d6c194a44e4b35f7a6c26f6e09",
-        "6a6c91674cf38f3cfb934d2c0865b83b00ff8547b23ea7297d6ff90f7123338e",
+        "3992fdd2efb72f3a665b9e1327e7c359a5b8ec87ce25a78b1e007c24057cdf6b",
+        "c40d48c95783d0fb179a13b3e21723e7a811adc773722b4fdba76146d6eaa046",
     ),
     ("conflict-graph", 4): (
-        "edcba87424a08349dd3e61d4b8791b97d4acf2d431ba8c3ef40a42131e574668",
-        "97c163d028a61eec24ba2383364eaeaa86627832d14568b5fc11a55736148dce",
+        "d5f26525591692597ad8236e70f1d5f023e6491f4b83dbf1b487842ea59fe720",
+        "236b493b5745f25b55d3f47a1179610218d159198f5a9d838f900636ae0c1542",
     ),
     ("multiwrite", 1): (
-        "b87371f2803bfcb3a1628484fc07b5a11f416a74c65a987361b453e6f9197f54",
-        "69c3adb6ea2da29b7d20d0f05fd4a201f76d3a9c649df040f52adaa8b9dfd613",
+        "3f7141dce982dda93a415609da07196e96b4cd0f890a4e8f311a21ee07d0e4a6",
+        "93a22e00e25b6a85f0f1d5e8605f59b6ce01667ad9e2ac4c20b6e96daa5e6466",
     ),
     ("multiwrite", 4): (
-        "64ee5cd9e231377ab13facc6f1343ee72015cd6029f37d786bce1baf7daa9352",
-        "b1daa176b199f1304e97aabbc15b1568a88356e76faabf25c839ca41bc0007b0",
+        "f6c0fba8d8fea165a5fc05773b8337acbfff4370952d636da6c3fb0ecc6090e2",
+        "a7619b069936aa326739f6457e5dd994f0d052dfb8a99d0b12fd69ede9238676",
     ),
     ("predeclared", 1): (
-        "c2cd87557f48a002e1bb68ff380669d7c75b472d6d0fe8c397dc125b5057fa20",
-        "461c40931b24acd16b0c977b160f16df8347fe06060b18e509fc657507fe0ab3",
+        "8c4af8c62b81581817a97876f16da2de3c6b68f42d3feb871f364fe28d0e9534",
+        "30b1f5b1732adf3d3ff2a12e33c29e580c82637c42d37391f5866e85afc26b65",
     ),
     ("predeclared", 4): (
-        "ddec05b3cf0a1126d874e5fef79643257a77a01c825cc1ddf17ed4364b6a519d",
-        "8ad29f440e90b5837363149f41c453a3aee4b146e27d50bf321cd22a0d816ea9",
+        "cc5f1808c35db78b9bc83d2e927d3c958f98dc5f1295c62bbb3592871e8635bd",
+        "ce455cfb82c7243c2061b177fa44907a66b265199827e3fd88b2f4818826a8ca",
     ),
     ("strict-2pl", 1): (
-        "ec2f05222571e0d6622bc47e687b1ccc8b447a285d8ead715fc75f04d37c579b",
-        "591ca3de81df338b731ca8a3a1015e260a33ed47d033858cd38cf901667663f5",
+        "49d01a3a748eebc1e38c51120e63a570af2af185e3a95028f4b43c05d67d0c0a",
+        "2a2e6717062a1e47d5b9a19bed31619f47854106476f0e69a4c56a54473faea7",
     ),
     ("strict-2pl", 4): (
-        "9a247cbbad14a8ad074ae7ccf70450b79453c25fd8171e4047bbc3cf05525f0d",
-        "57364630c769c5a91a95de0fac6e2665c19eefad0f940ffe2fa1f96e407ec74a",
+        "6e7104f1187d4389120b941f13982d18727bdc0e3afa141b3ee303787235a3f5",
+        "ea2eda870d67100c2f552a049a49a81177ba0002520a7851ab6b7db6396c33d5",
     ),
 }
 
